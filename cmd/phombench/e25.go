@@ -77,8 +77,15 @@ const (
 	// 4-replica shard slice even under ring skew (fair share ~8 of 32
 	// structures, observed worst case 16), below the full set — the
 	// "per-process ceiling" every tier gets one unit of.
-	e25PlanCache   = 20
-	e25Concurrency = 16
+	e25PlanCache = 20
+	// e25Concurrency is the number of requests in flight. It stays
+	// below the LRU's slack e25Structures − e25PlanCache = 12: requests
+	// can reach the engine out of send order by up to the in-flight
+	// count, and once a compile costs no more than decoding a request a
+	// reorder deeper than the slack turns a round-robin repeat into a
+	// plan hit, so the single process would stop thrashing by timing
+	// luck rather than by design.
+	e25Concurrency = 8
 )
 
 // e25Opts pins every request to the certified fast path: the workload

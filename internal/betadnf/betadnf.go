@@ -19,39 +19,59 @@ type IntervalSystem struct {
 	Clauses []Interval
 }
 
+// shape validates the clauses and derives the trellis shared by Prob,
+// ProbFloat and EmitOps. minEnd[r] is the length of the shortest clause
+// ending at variable r (0 = none), and streakCap, the largest minEnd,
+// bounds the streak states; it is 0 exactly when there is no clause.
+// constTrue reports an empty clause (the formula is true).
+//
+// The cap is exact: only the shortest clause ending at r decides whether
+// a world survives step r (a longer clause ending there needs a longer
+// streak, which fires the shorter one), and every clause that decides
+// anything is at most streakCap long, so streaks of streakCap or more
+// behave alike at every later step. Longer clauses sharing an end — the
+// merged disjuncts of a UCQ, say — add no state.
+func (s *IntervalSystem) shape() (minEnd []int, streakCap int, constTrue bool, err error) {
+	minEnd = make([]int, s.NumVars)
+	for _, c := range s.Clauses {
+		if c.Hi < c.Lo {
+			return nil, 0, true, nil
+		}
+		if c.Lo < 0 || c.Hi >= s.NumVars {
+			return nil, 0, false, fmt.Errorf("betadnf: clause [%d,%d] out of range", c.Lo, c.Hi)
+		}
+		if l := c.Hi - c.Lo + 1; minEnd[c.Hi] == 0 || l < minEnd[c.Hi] {
+			minEnd[c.Hi] = l
+		}
+	}
+	for _, l := range minEnd {
+		streakCap = max(streakCap, l)
+	}
+	return minEnd, streakCap, false, nil
+}
+
 // Prob returns the probability that at least one clause has all its
 // variables true, with variable i true independently with probability
 // probs[i].
 //
 // The dynamic program computes the complementary probability that no
 // clause is fully true: scanning variables left to right, the state is
-// the current streak of consecutive true variables (capped at the longest
-// clause length), and a clause [l, r] fires exactly when the streak at r
-// reaches r−l+1.
+// the current streak of consecutive true variables (capped, see shape),
+// and the shortest clause [l, r] ending at r fires exactly when the
+// streak at r reaches r−l+1.
 func (s *IntervalSystem) Prob(probs []*big.Rat) (*big.Rat, error) {
 	if len(probs) != s.NumVars {
 		return nil, fmt.Errorf("betadnf: %d probabilities for %d variables", len(probs), s.NumVars)
 	}
-	maxLen := 0
-	// minEnd[r] = minimal clause length among clauses ending at r (0 = none).
-	minEnd := make([]int, s.NumVars)
-	for _, c := range s.Clauses {
-		if c.Hi < c.Lo {
-			return big.NewRat(1, 1), nil // empty clause: formula is true
-		}
-		if c.Lo < 0 || c.Hi >= s.NumVars {
-			return nil, fmt.Errorf("betadnf: clause [%d,%d] out of range", c.Lo, c.Hi)
-		}
-		l := c.Hi - c.Lo + 1
-		if l > maxLen {
-			maxLen = l
-		}
-		if minEnd[c.Hi] == 0 || l < minEnd[c.Hi] {
-			minEnd[c.Hi] = l
-		}
+	minEnd, maxLen, constTrue, err := s.shape()
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Clauses) == 0 {
-		return new(big.Rat), nil // false
+	if constTrue {
+		return big.NewRat(1, 1), nil
+	}
+	if maxLen == 0 {
+		return new(big.Rat), nil // no clause: false
 	}
 	one := big.NewRat(1, 1)
 	// dist[st] = probability that the scan survives so far with streak st.

@@ -196,3 +196,75 @@ func TestChainNoClauses(t *testing.T) {
 		t.Fatalf("no clauses must give 0, got %v %v", p, err)
 	}
 }
+
+// ratEmitter is an OpEmitter that executes each op on the spot in exact
+// arithmetic and counts the ops, standing in for the plan builder.
+type ratEmitter struct {
+	probs []*big.Rat
+	regs  []*big.Rat
+}
+
+func (e *ratEmitter) put(v *big.Rat) uint32 {
+	e.regs = append(e.regs, v)
+	return uint32(len(e.regs) - 1)
+}
+func (e *ratEmitter) Load(v int) uint32       { return e.put(e.probs[v]) }
+func (e *ratEmitter) Const(v *big.Rat) uint32 { return e.put(v) }
+func (e *ratEmitter) Mul(a, b uint32) uint32  { return e.put(new(big.Rat).Mul(e.regs[a], e.regs[b])) }
+func (e *ratEmitter) Add(a, b uint32) uint32  { return e.put(new(big.Rat).Add(e.regs[a], e.regs[b])) }
+func (e *ratEmitter) OneMinus(a uint32) uint32 {
+	return e.put(new(big.Rat).Sub(big.NewRat(1, 1), e.regs[a]))
+}
+func (e *ratEmitter) Release(uint32) {}
+func (e *ratEmitter) Failed() bool   { return false }
+func (e *ratEmitter) run(s *IntervalSystem) (string, int, error) {
+	e.regs = nil
+	out, err := s.EmitOps(e)
+	if err != nil {
+		return "", 0, err
+	}
+	return e.regs[out].RatString(), len(e.regs), nil
+}
+
+// TestIntervalEmitIgnoresSameEndSupersets: the trellis is capped at the
+// longest shortest-clause-per-end, so appending clauses that extend an
+// existing clause to the left (same right end, absorbed) changes neither
+// the number of emitted ops nor the exact result — and the result still
+// matches Prob and the Shannon oracle.
+func TestIntervalEmitIgnoresSameEndSupersets(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(12)
+		s := &IntervalSystem{NumVars: n}
+		for k := 1 + r.Intn(4); k > 0; k-- {
+			hi := r.Intn(n)
+			lo := hi - r.Intn(min(hi+1, 3))
+			s.Clauses = append(s.Clauses, Interval{lo, hi})
+		}
+		em := &ratEmitter{probs: randProbs(r, n)}
+		want, wantOps, err := em.run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown := &IntervalSystem{NumVars: n, Clauses: append([]Interval(nil), s.Clauses...)}
+		for _, c := range s.Clauses {
+			if c.Lo > 0 {
+				grown.Clauses = append(grown.Clauses, Interval{r.Intn(c.Lo), c.Hi})
+			}
+		}
+		got, gotOps, err := em.run(grown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || gotOps != wantOps {
+			t.Fatalf("supersets moved the program: %s in %d ops, was %s in %d ops\nbase %v\ngrown %v",
+				got, gotOps, want, wantOps, s.Clauses, grown.Clauses)
+		}
+		if p, _ := grown.Prob(em.probs); p.RatString() != want {
+			t.Fatalf("EmitOps %s vs Prob %s on %v", want, p.RatString(), grown.Clauses)
+		}
+		if o := intervalToDNF(grown).ShannonProb(em.probs); o.RatString() != want {
+			t.Fatalf("EmitOps %s vs Shannon %s on %v", want, o.RatString(), grown.Clauses)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package betadnf
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // This file lowers the two β-acyclic evaluators to flat instruction
 // streams. Both dynamic programs have a trellis fixed entirely by the
@@ -129,27 +126,20 @@ func (cc *CompiledChain) EmitOps(em OpEmitter) (uint32, error) {
 // EmitOps lowers the interval dynamic program of Prob to flat ops,
 // returning the register holding the final probability. Streak states
 // that are structurally unreachable at a scan position (the symbolic
-// analogue of Prob skipping zero-weight states) emit no code.
+// analogue of Prob skipping zero-weight states) emit no code, and the
+// states are capped at the longest shortest-clause-per-end (see shape),
+// so the program has O(variables × that cap) ops however long the
+// absorbed clauses are.
 func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
-	maxLen := 0
-	minEnd := make([]int, s.NumVars)
-	for _, c := range s.Clauses {
-		if c.Hi < c.Lo {
-			return em.Const(emitOne), nil // empty clause: formula is true
-		}
-		if c.Lo < 0 || c.Hi >= s.NumVars {
-			return 0, fmt.Errorf("betadnf: clause [%d,%d] out of range", c.Lo, c.Hi)
-		}
-		l := c.Hi - c.Lo + 1
-		if l > maxLen {
-			maxLen = l
-		}
-		if minEnd[c.Hi] == 0 || l < minEnd[c.Hi] {
-			minEnd[c.Hi] = l
-		}
+	minEnd, maxLen, constTrue, err := s.shape()
+	if err != nil {
+		return 0, err
 	}
-	if len(s.Clauses) == 0 {
-		return em.Const(emitZero), nil // false
+	if constTrue {
+		return em.Const(emitOne), nil // empty clause: formula is true
+	}
+	if maxLen == 0 {
+		return em.Const(emitZero), nil // no clause: false
 	}
 	// cur[st] = register holding the survival weight of streak st;
 	// curOK marks states reachable at this position.

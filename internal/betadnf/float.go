@@ -10,24 +10,14 @@ func (s *IntervalSystem) ProbFloat(probs []float64) (float64, error) {
 	if len(probs) != s.NumVars {
 		return 0, fmt.Errorf("betadnf: %d probabilities for %d variables", len(probs), s.NumVars)
 	}
-	maxLen := 0
-	minEnd := make([]int, s.NumVars)
-	for _, c := range s.Clauses {
-		if c.Hi < c.Lo {
-			return 1, nil
-		}
-		if c.Lo < 0 || c.Hi >= s.NumVars {
-			return 0, fmt.Errorf("betadnf: clause [%d,%d] out of range", c.Lo, c.Hi)
-		}
-		l := c.Hi - c.Lo + 1
-		if l > maxLen {
-			maxLen = l
-		}
-		if minEnd[c.Hi] == 0 || l < minEnd[c.Hi] {
-			minEnd[c.Hi] = l
-		}
+	minEnd, maxLen, constTrue, err := s.shape()
+	if err != nil {
+		return 0, err
 	}
-	if len(s.Clauses) == 0 {
+	if constTrue {
+		return 1, nil
+	}
+	if maxLen == 0 {
 		return 0, nil
 	}
 	dist := make([]float64, maxLen+1)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -88,6 +89,11 @@ type Job struct {
 	// in any cache key — two jobs differing only in Timeout share cache
 	// entries and in-flight executions.
 	Timeout time.Duration
+	// derived carries the keys InstanceJob derived for this job, so
+	// running it does not hash the instance a second time. jobKeys
+	// reuses them only while the job still holds the inputs they were
+	// derived from.
+	derived *derivedKeys
 }
 
 func (j Job) disjuncts() []*graph.Graph {
@@ -690,37 +696,57 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 // fresh and populates the cache. The returned bool is set by the thunk
 // when it served a plan-cache hit.
 func (e *Engine) prepare(job Job) (string, func(context.Context) (*core.Result, error), *bool, error) {
-	qs, _, key, structKey, canonOrder, err := jobKeys(job)
+	k, err := jobKeys(job)
 	if err != nil {
 		return "", nil, nil, err
 	}
 	planHit := new(bool)
 	run := func(ctx context.Context) (*core.Result, error) {
-		return e.runPlanned(ctx, structKey, canonOrder, job, qs, planHit)
+		return e.runPlanned(ctx, k.structKey, k.canonOrder, job, k.qs, planHit)
 	}
-	return key, run, planHit, nil
+	return k.key, run, planHit, nil
+}
+
+// derivedKeys are a job's canonical identities: the resolved disjuncts,
+// the full memo key (probabilities included), the structure key
+// (probabilities stripped) and the instance's canonical edge order,
+// stamped with the inputs they were derived from.
+type derivedKeys struct {
+	query        *graph.Graph
+	queries      []*graph.Graph
+	instance     *graph.ProbGraph
+	fp, structFP string
+
+	qs         []*graph.Graph
+	key        string
+	structKey  string
+	canonOrder []int
 }
 
 // jobKeys validates the job (through Job.Disjuncts, the shared
-// validation point) and derives its canonical identities: the resolved
-// disjuncts, their sorted canonical encodings, the full memo key
-// (probabilities included), the structure key (probabilities stripped)
-// and the instance's canonical edge order. It is the single key
-// derivation shared by prepare and the instance registry.
-func jobKeys(job Job) (qs []*graph.Graph, canon []string, key, structKey string, canonOrder []int, err error) {
-	qs, err = job.Disjuncts()
-	if err != nil {
-		return nil, nil, "", "", nil, err
+// validation point) and derives its canonical identities. It is the
+// single key derivation shared by prepare and the instance registry;
+// keys a job carries from InstanceJob are reused while the job still
+// names the same query graphs, instance and options.
+func jobKeys(job Job) (*derivedKeys, error) {
+	fp, structFP := job.Opts.Fingerprint(), job.Opts.StructFingerprint()
+	if k := job.derived; k != nil && k.query == job.Query && slices.Equal(k.queries, job.Queries) &&
+		k.instance == job.Instance && k.fp == fp && k.structFP == structFP {
+		return k, nil
 	}
-	canon = make([]string, len(qs))
+	qs, err := job.Disjuncts()
+	if err != nil {
+		return nil, err
+	}
+	canon := make([]string, len(qs))
 	for i, q := range qs {
 		canon[i] = graphio.CanonicalGraph(q)
 	}
 	// Disjunct order is irrelevant to the probability of a union.
 	sort.Strings(canon)
-	key, structKey, canonOrder = graphio.JobKeys(canon, job.Instance,
-		job.Opts.Fingerprint(), job.Opts.StructFingerprint())
-	return qs, canon, key, structKey, canonOrder, nil
+	k := &derivedKeys{query: job.Query, queries: job.Queries, instance: job.Instance, fp: fp, structFP: structFP, qs: qs}
+	k.key, k.structKey, k.canonOrder = graphio.JobKeys(canon, job.Instance, fp, structFP)
+	return k, nil
 }
 
 // runPlanned executes a job through the compile/evaluate pipeline,

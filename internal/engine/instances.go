@@ -175,17 +175,18 @@ func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 	}
 	snap := ent.inst.Snapshot()
 	job.Instance = snap.H
-	qs, _, key, structKey, _, err := jobKeys(job)
+	k, err := jobKeys(job)
 	if err != nil {
 		return Job{}, 0, err
 	}
+	job.derived = k
 	e.mu.Lock()
 	// Re-check liveness under the lock: a concurrent DeleteInstance
 	// must not see its eviction silently undone by this tracking write.
 	if cur, still := e.instances[id]; still && cur == ent {
-		ent.results[key] = struct{}{}
-		if _, tracked := ent.plans[structKey]; !tracked {
-			ent.plans[structKey] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
+		ent.results[k.key] = struct{}{}
+		if _, tracked := ent.plans[k.structKey]; !tracked {
+			ent.plans[k.structKey] = &trackedPlan{qs: k.qs, opts: job.Opts, g: snap.H.G}
 		}
 	}
 	e.mu.Unlock()

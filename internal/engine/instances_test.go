@@ -317,3 +317,50 @@ func TestApplyRacesSolves(t *testing.T) {
 		t.Fatalf("final solve %s != scratch %s", r.Result.Prob.RatString(), want.Prob.RatString())
 	}
 }
+
+// TestInstanceJobKeysFollowEdits: the keys InstanceJob derives ride on
+// the returned job, but a caller that then swaps the query, the
+// instance or the options gets keys for what it runs — the same answer
+// and the same memo entry as a plain job with those inputs.
+func TestInstanceJobKeysFollowEdits(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	if _, err := e.CreateInstance("a", instPath(big.NewRat(1, 2), big.NewRat(1, 3), big.NewRat(1, 5))); err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := e.InstanceJob("a", Job{Query: graph.UnlabeledPath(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := instPath(big.NewRat(2, 3), big.NewRat(1, 7), big.NewRat(3, 4))
+	edits := map[string]func(j *Job){
+		"query":    func(j *Job) { j.Query = graph.UnlabeledPath(2) },
+		"queries":  func(j *Job) { j.Query, j.Queries = nil, []*graph.Graph{graph.UnlabeledPath(3)} },
+		"instance": func(j *Job) { j.Instance = other },
+		"options":  func(j *Job) { j.Opts = &core.Options{Precision: core.PrecisionFast} },
+	}
+	for name, edit := range edits {
+		edited := job
+		edit(&edited)
+		plain := edited
+		plain.derived = nil
+		kEdited, err := jobKeys(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kPlain, err := jobKeys(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kEdited.key != kPlain.key || kEdited.structKey != kPlain.structKey {
+			t.Fatalf("%s edit ran under the keys InstanceJob derived for the unedited job", name)
+		}
+		got, want := e.Do(edited), e.Do(plain)
+		if got.Err != nil || want.Err != nil || got.Result.Prob.RatString() != want.Result.Prob.RatString() {
+			t.Fatalf("%s edit: %v %v vs %v %v", name, got.Result, got.Err, want.Result, want.Err)
+		}
+	}
+	if k, _ := jobKeys(job); k != job.derived {
+		t.Fatal("an unedited instance job re-derived its keys")
+	}
+}

@@ -491,8 +491,11 @@ func TestUptimeRegressionWarmStart(t *testing.T) {
 	if n := g.PullSnapshots(); n != 1 {
 		t.Fatal("snapshot pull failed")
 	}
-	g.ProbeNow() // record the first uptime
+	// Let the replica age before the first probe: the uptime recorded
+	// there must exceed the restarted replica's at the second probe, or
+	// the regression the gate keys the push on never shows.
 	time.Sleep(150 * time.Millisecond)
+	g.ProbeNow() // record the first uptime
 
 	rp.stop()
 	rp = startReplica(t, rp.addr)

@@ -82,82 +82,15 @@ func (c Class) Union() Class {
 
 // Is1WP reports whether g is a one-way path a₁ → a₂ → … → aₘ covering all
 // vertices (Figure 3, top). The single-vertex graph is the 1WP of length 0.
-func (g *Graph) Is1WP() bool {
-	if g.n == 0 {
-		return false
-	}
-	if g.n == 1 {
-		return len(g.edges) == 0
-	}
-	if len(g.edges) != g.n-1 {
-		return false
-	}
-	start := Vertex(-1)
-	for v := 0; v < g.n; v++ {
-		if g.OutDegree(Vertex(v)) > 1 || g.InDegree(Vertex(v)) > 1 {
-			return false
-		}
-		if g.InDegree(Vertex(v)) == 0 {
-			if start >= 0 {
-				return false
-			}
-			start = Vertex(v)
-		}
-	}
-	if start < 0 {
-		return false
-	}
-	// Walk the path; with the degree bounds above it covers all vertices
-	// iff we can take n−1 steps.
-	v, steps := start, 0
-	for len(g.out[v]) == 1 {
-		v = g.edges[g.out[v][0]].To
-		steps++
-		if steps > g.n {
-			return false
-		}
-	}
-	return steps == g.n-1
-}
+func (g *Graph) Is1WP() bool { return g.InClass(Class1WP) }
 
 // Is2WP reports whether g is a two-way path a₁ − a₂ − … − aₘ, each edge
 // oriented arbitrarily (Figure 3, bottom).
-func (g *Graph) Is2WP() bool {
-	if g.n == 0 {
-		return false
-	}
-	if g.n == 1 {
-		return len(g.edges) == 0
-	}
-	// n−1 directed edges + connected underlying graph ⇒ underlying tree
-	// with no antiparallel pairs; degree ≤ 2 then makes it a path.
-	if len(g.edges) != g.n-1 || !g.IsConnected() {
-		return false
-	}
-	for v := 0; v < g.n; v++ {
-		if g.UndirectedDegree(Vertex(v)) > 2 {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) Is2WP() bool { return g.InClass(Class2WP) }
 
 // IsDWT reports whether g is a downward tree: a rooted unranked tree with
 // every edge oriented from parent to child (Figure 4, left).
-func (g *Graph) IsDWT() bool {
-	if g.n == 0 {
-		return false
-	}
-	if len(g.edges) != g.n-1 || !g.IsConnected() {
-		return false
-	}
-	for v := 0; v < g.n; v++ {
-		if g.InDegree(Vertex(v)) > 1 {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) IsDWT() bool { return g.InClass(ClassDWT) }
 
 // DWTRoot returns the root of a downward tree. It panics if g is not a DWT.
 func (g *Graph) DWTRoot() Vertex {
@@ -174,38 +107,17 @@ func (g *Graph) DWTRoot() Vertex {
 
 // IsPolytree reports whether the underlying undirected graph of g is a
 // tree (Figure 4, right).
-func (g *Graph) IsPolytree() bool {
-	if g.n == 0 {
+func (g *Graph) IsPolytree() bool { return g.InClass(ClassPT) }
+
+// InClass reports whether g belongs to the given class. The answer
+// comes from the memoized class set (see classInfo), so route guards can
+// ask it per request at no cost after the first.
+func (g *Graph) InClass(c Class) bool {
+	if c < 0 || c >= numClasses {
 		return false
 	}
-	return len(g.edges) == g.n-1 && g.IsConnected()
-}
-
-// InClass reports whether g belongs to the given class.
-func (g *Graph) InClass(c Class) bool {
-	switch c {
-	case Class1WP:
-		return g.Is1WP()
-	case Class2WP:
-		return g.Is2WP()
-	case ClassDWT:
-		return g.IsDWT()
-	case ClassPT:
-		return g.IsPolytree()
-	case ClassConnected:
-		return g.IsConnected()
-	case ClassAll:
-		return g.n > 0
-	case ClassU1WP, ClassU2WP, ClassUDWT, ClassUPT:
-		base := c.Base()
-		for _, comp := range g.Components() {
-			if !comp.InClass(base) {
-				return false
-			}
-		}
-		return g.n > 0
-	}
-	return false
+	set, _ := g.classInfo()
+	return set&(1<<c) != 0
 }
 
 // Classify returns every class g belongs to, in AllClasses order.
@@ -220,47 +132,108 @@ func (g *Graph) Classify() []Class {
 }
 
 // TightestClass returns the smallest class (w.r.t. the Figure 2
-// inclusion lattice) that contains g; every class g belongs to includes
-// the result. Used to locate the Tables 1–3 cell of an input pair. The
-// answer is memoized on the graph (invalidated by mutation), so
-// serving-path callers can re-ask per evaluation without re-walking the
-// graph.
+// inclusion lattice) that contains g. Used to locate the Tables 1–3 cell
+// of an input pair. The lattice has no meets, so g may also lie in a
+// class incomparable with the result: a←b→c is a DWT and a 2WP but not a
+// 1WP, and reports 2WP, the first of the two in AllClasses order. Ask
+// InClass for membership. The answer is memoized on the graph
+// (invalidated by mutation), so serving-path callers can re-ask per
+// evaluation without re-walking the graph.
 func (g *Graph) TightestClass() Class {
-	if v := g.tightest.Load(); v != 0 {
-		return Class(v - 1)
+	_, tightest := g.classInfo()
+	return tightest
+}
+
+// Layout of the Graph.classes memo: bits 0 … numClasses−1 hold the class
+// set, the byte at classTightestShift the tightest class, and
+// classesKnown marks the memo as filled.
+const (
+	classTightestShift = 16
+	classesKnown       = 1 << 31
+)
+
+// classInfo returns the set of classes g belongs to (bit c for Class c)
+// and its tightest class, computing them on the first call after a
+// mutation.
+//
+// Membership is derived from the component partition in one pass over
+// the vertices, with no component materialised. A component with nc
+// vertices and mc edges is a polytree iff mc = nc−1 (it is connected).
+// A polytree has no antiparallel pair and no self-loop, so a vertex's
+// undirected degree is its in- plus out-degree, and the polytree is a
+// DWT iff every in-degree is ≤ 1, a 2WP iff every degree is ≤ 2, and a
+// 1WP iff every in- and out-degree is ≤ 1. g is in a base class iff it
+// is one component in it, and in its ⊔-closure iff every component is.
+func (g *Graph) classInfo() (uint32, Class) {
+	if v := g.classes.Load(); v != 0 {
+		return v & (1<<numClasses - 1), Class(v >> classTightestShift & 0xff)
 	}
-	// Component structure is shared across the whole scan: the four
-	// union-closure membership tests and the connectivity test all
-	// reduce to it, and recomputing the partition per class would make
-	// one TightestClass cost five traversals of the graph.
-	comps := g.Components()
-	inClass := func(c Class) bool {
-		switch c {
-		case ClassConnected:
-			return len(comps) == 1
-		case ClassU1WP, ClassU2WP, ClassUDWT, ClassUPT:
-			if g.n == 0 {
-				return false
-			}
-			base := c.Base()
-			for _, comp := range comps {
-				if !comp.InClass(base) {
-					return false
+	var set uint32
+	if g.n > 0 {
+		compOf, k := g.componentLabels()
+		type shape struct {
+			vertices, edges    int
+			in2, out2, degree3 bool
+		}
+		shapes := make([]shape, k)
+		for v, c := range compOf {
+			in, out := len(g.in[v]), len(g.out[v])
+			sh := &shapes[c]
+			sh.vertices++
+			sh.edges += out
+			sh.in2 = sh.in2 || in > 1
+			sh.out2 = sh.out2 || out > 1
+			sh.degree3 = sh.degree3 || in+out > 2
+		}
+		// everyComp: the base classes every component belongs to.
+		everyComp := uint32(1<<Class1WP | 1<<Class2WP | 1<<ClassDWT | 1<<ClassPT)
+		for _, sh := range shapes {
+			var base uint32
+			if sh.edges == sh.vertices-1 {
+				base |= 1 << ClassPT
+				if !sh.in2 {
+					base |= 1 << ClassDWT
+				}
+				if !sh.degree3 {
+					base |= 1 << Class2WP
+				}
+				if !sh.in2 && !sh.out2 {
+					base |= 1 << Class1WP
 				}
 			}
-			return true
+			everyComp &= base
 		}
-		return g.InClass(c)
+		set = 1 << ClassAll
+		for _, b := range []Class{Class1WP, Class2WP, ClassDWT, ClassPT} {
+			if everyComp&(1<<b) != 0 {
+				set |= 1 << b.Union()
+			}
+		}
+		if k == 1 {
+			set |= everyComp | 1<<ClassConnected
+		}
 	}
-	best := ClassAll
+	tightest := ClassAll
 	for _, c := range AllClasses {
-		if inClass(c) && ClassIncluded(c, best) {
-			best = c
+		if set&(1<<c) != 0 && supersets[c]&(1<<tightest) != 0 {
+			tightest = c
 		}
 	}
-	g.tightest.Store(int32(best) + 1)
-	return best
+	g.classes.Store(set | uint32(tightest)<<classTightestShift | classesKnown)
+	return set, tightest
 }
+
+// supersets[c] has bit d set iff ClassIncluded(c, d).
+var supersets = func() (out [numClasses]uint32) {
+	for _, c := range AllClasses {
+		for _, d := range AllClasses {
+			if ClassIncluded(c, d) {
+				out[c] |= 1 << d
+			}
+		}
+	}
+	return out
+}()
 
 // ClassIncluded reports whether every graph of class a is a graph of
 // class b, following the inclusion diagram of Figure 2 extended to the

@@ -1,80 +1,63 @@
 package graph
 
-import "sort"
-
 // ConnectedComponents partitions the vertices of g into the connected
 // components of its underlying undirected graph. Components are returned
 // with vertices sorted, and components ordered by their smallest vertex,
 // so the output is deterministic.
 func (g *Graph) ConnectedComponents() [][]Vertex {
-	seen := make([]bool, g.n)
-	var comps [][]Vertex
+	compOf, k := g.componentLabels()
+	comps := make([][]Vertex, k)
+	for v, c := range compOf {
+		comps[c] = append(comps[c], Vertex(v))
+	}
+	return comps
+}
+
+// componentLabels labels every vertex with the index of its connected
+// component, components numbered in order of their smallest vertex, and
+// returns the labels with the number of components.
+func (g *Graph) componentLabels() ([]int, int) {
+	compOf := make([]int, g.n)
+	for v := range compOf {
+		compOf[v] = -1
+	}
+	k := 0
+	var stack []Vertex
 	for s := 0; s < g.n; s++ {
-		if seen[s] {
+		if compOf[s] >= 0 {
 			continue
 		}
-		var comp []Vertex
-		stack := []Vertex{Vertex(s)}
-		seen[s] = true
+		compOf[s] = k
+		stack = append(stack[:0], Vertex(s))
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
 			// Walk the incident edge indices directly rather than
 			// through Neighbors: traversal only needs each endpoint
-			// once, and seen[] already deduplicates, so the map and
-			// sort Neighbors pays for are wasted here. Classification
-			// asks for components on every serving-path prediction,
-			// which makes this the hottest loop in the package.
+			// once, and the labels already deduplicate, so the map and
+			// sort Neighbors pays for are wasted here.
 			for _, i := range g.out[v] {
-				if u := g.edges[i].To; !seen[u] {
-					seen[u] = true
+				if u := g.edges[i].To; compOf[u] < 0 {
+					compOf[u] = k
 					stack = append(stack, u)
 				}
 			}
 			for _, i := range g.in[v] {
-				if u := g.edges[i].From; !seen[u] {
-					seen[u] = true
+				if u := g.edges[i].From; compOf[u] < 0 {
+					compOf[u] = k
 					stack = append(stack, u)
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
+		k++
 	}
-	return comps
+	return compOf, k
 }
 
 // IsConnected reports whether the underlying undirected graph of g is
 // connected. Following the paper, the single-vertex graph is connected and
 // the empty graph is not a valid graph (we report it as not connected).
-func (g *Graph) IsConnected() bool {
-	if g.n == 0 {
-		return false
-	}
-	seen := make([]bool, g.n)
-	stack := []Vertex{0}
-	seen[0] = true
-	count := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, i := range g.out[v] {
-			if u := g.edges[i].To; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-		for _, i := range g.in[v] {
-			if u := g.edges[i].From; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == g.n
-}
+func (g *Graph) IsConnected() bool { return g.InClass(ClassConnected) }
 
 // InducedSubgraph returns the subgraph of g induced by the given vertices
 // (renumbered 0 … len(vs)−1 in the given order) together with the mapping
@@ -98,10 +81,37 @@ func (g *Graph) InducedSubgraph(vs []Vertex) (*Graph, map[Vertex]Vertex) {
 // Components returns each connected component of g as a standalone graph
 // (vertices renumbered), in deterministic order.
 func (g *Graph) Components() []*Graph {
-	var out []*Graph
-	for _, comp := range g.ConnectedComponents() {
-		h, _ := g.InducedSubgraph(comp)
-		out = append(out, h)
+	comps, _ := g.split()
+	return comps
+}
+
+// split builds every connected component of g in one pass over its
+// edges. Component c is the subgraph InducedSubgraph(ConnectedComponents()[c])
+// would build: vertices renumbered in increasing order, edges in g's
+// edge-list order. edgeMaps[c][j] is the index in g of component c's
+// j-th edge.
+func (g *Graph) split() (comps []*Graph, edgeMaps [][]int) {
+	compOf, k := g.componentLabels()
+	local := make([]Vertex, g.n)
+	size := make([]int, k)
+	for v, c := range compOf {
+		local[v] = Vertex(size[c])
+		size[c]++
 	}
-	return out
+	edgeCount := make([]int, k)
+	for _, e := range g.edges {
+		edgeCount[compOf[e.From]]++
+	}
+	comps = make([]*Graph, k)
+	edgeMaps = make([][]int, k)
+	for c := range comps {
+		comps[c] = New(size[c])
+		edgeMaps[c] = make([]int, 0, edgeCount[c])
+	}
+	for i, e := range g.edges {
+		c := compOf[e.From]
+		comps[c].MustAddEdge(local[e.From], local[e.To], e.Label)
+		edgeMaps[c] = append(edgeMaps[c], i)
+	}
+	return comps, edgeMaps
 }

@@ -40,14 +40,14 @@ type Graph struct {
 	out   [][]int // vertex -> indices into edges
 	in    [][]int
 	index map[pair]int
-	// tightest memoizes TightestClass()+1 (0 = not yet computed).
-	// Classification walks the whole graph repeatedly, and serving paths
-	// ask for it once per evaluation of a structure that never changes —
-	// AddVertex/AddEdge reset it, everything else leaves the graph
-	// immutable. Atomic so concurrent readers of a shared immutable
-	// graph (the lanes of a multi-vector reweight) race benignly: every
-	// writer stores the same value.
-	tightest atomic.Int32
+	// classes memoizes classInfo (0 = not yet computed): the set of
+	// classes g belongs to and its tightest class. Classification walks
+	// the whole graph, and serving paths ask for it once per evaluation
+	// of a structure that never changes — AddVertex/AddEdge reset it,
+	// everything else leaves the graph immutable. Atomic so concurrent
+	// readers of a shared immutable graph (the lanes of a multi-vector
+	// reweight) race benignly: every writer stores the same value.
+	classes atomic.Uint32
 }
 
 // New returns a graph with n isolated vertices (n ≥ 1; the paper requires
@@ -76,7 +76,7 @@ func (g *Graph) AddVertex() Vertex {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.n++
-	g.tightest.Store(0)
+	g.classes.Store(0)
 	return Vertex(g.n - 1)
 }
 
@@ -96,7 +96,7 @@ func (g *Graph) AddEdge(from, to Vertex, label Label) error {
 	g.out[from] = append(g.out[from], idx)
 	g.in[to] = append(g.in[to], idx)
 	g.index[pair{from, to}] = idx
-	g.tightest.Store(0)
+	g.classes.Store(0)
 	return nil
 }
 

@@ -40,16 +40,33 @@ func NewProbGraph(g *Graph) *ProbGraph {
 	return &ProbGraph{G: g, probs: probs}
 }
 
+// NewProbGraphWith wraps g with the given probabilities, one per edge
+// in edge-list order. The *big.Rat values are shared, not copied: the
+// caller must not mutate them afterwards.
+func NewProbGraphWith(g *Graph, probs []*big.Rat) (*ProbGraph, error) {
+	p := &ProbGraph{G: g, probs: probs}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // SetProb sets π of the i-th edge (edge-list order).
 func (p *ProbGraph) SetProb(i int, r *big.Rat) error {
 	if i < 0 || i >= len(p.probs) {
 		return fmt.Errorf("probgraph: edge index %d out of range", i)
 	}
-	if r.Sign() < 0 || r.Cmp(RatOne) > 0 {
+	if !isProb(r) {
 		return fmt.Errorf("probgraph: probability %s outside [0,1]", r.RatString())
 	}
 	p.probs[i] = new(big.Rat).Set(r)
 	return nil
+}
+
+// isProb reports 0 ≤ r ≤ 1 without allocating: r's denominator is
+// positive, so r ≤ 1 iff its numerator is at most its denominator.
+func isProb(r *big.Rat) bool {
+	return r.Sign() >= 0 && r.Num().Cmp(r.Denom()) <= 0
 }
 
 // SetEdgeProb sets π of the edge (from, to).
@@ -143,7 +160,7 @@ func (p *ProbGraph) Validate() error {
 		if r == nil {
 			return fmt.Errorf("probgraph: edge %d has nil probability", i)
 		}
-		if r.Sign() < 0 || r.Cmp(RatOne) > 0 {
+		if !isProb(r) {
 			return fmt.Errorf("probgraph: edge %d probability %s outside [0,1]", i, r.RatString())
 		}
 	}
@@ -165,24 +182,16 @@ func (p *ProbGraph) Components() []*ProbGraph {
 // plans of internal/plan) be re-evaluated against fresh probability
 // vectors indexed by p's full edge list.
 func (p *ProbGraph) ComponentsWithEdges() ([]*ProbGraph, [][]int) {
-	var out []*ProbGraph
-	var edgeMaps [][]int
-	for _, comp := range p.G.ConnectedComponents() {
-		sub, remap := p.G.InducedSubgraph(comp)
-		q := NewProbGraph(sub)
-		// InducedSubgraph scans p's edge list in order, so the component's
-		// j-th edge is the j-th edge of p with both endpoints in comp.
-		em := make([]int, 0, sub.NumEdges())
-		for i, e := range p.G.edges {
-			nf, okf := remap[e.From]
-			nt, okt := remap[e.To]
-			if okf && okt {
-				q.MustSetEdgeProb(nf, nt, p.probs[i])
-				em = append(em, i)
-			}
+	comps, edgeMaps := p.G.split()
+	out := make([]*ProbGraph, len(comps))
+	for c, sub := range comps {
+		// The *big.Rat values are shared: they are read-only, and
+		// SetProb replaces rather than mutates.
+		probs := make([]*big.Rat, len(edgeMaps[c]))
+		for j, i := range edgeMaps[c] {
+			probs[j] = p.probs[i]
 		}
-		out = append(out, q)
-		edgeMaps = append(edgeMaps, em)
+		out[c] = &ProbGraph{G: sub, probs: probs}
 	}
 	return out, edgeMaps
 }

@@ -156,9 +156,7 @@ func JobKeys(queryCanon []string, p *graph.ProbGraph, optsFingerprint, structOpt
 		hs.Write(buf)
 		buf = buf[:len(buf)-1]
 		buf = append(buf, '=')
-		buf = p.Prob(ei).Num().Append(buf, 10)
-		buf = append(buf, '/')
-		buf = p.Prob(ei).Denom().Append(buf, 10)
+		buf = appendRat(buf, p.Prob(ei))
 		buf = append(buf, '\n')
 		hj.Write(buf)
 	}
@@ -283,17 +281,18 @@ func appendRat(buf []byte, r *big.Rat) []byte {
 // evaluates a cached plan against an instance whose edges were inserted
 // in a different order. Sorting integers rather than canonical strings
 // keeps the transport cheap: it runs on every plan-cache hit.
+//
+// Vertices are visited in order and only each vertex's out-edges are
+// sorted by head, so the cost is linear for bounded out-degree.
 func CanonicalEdgeOrder(g *graph.Graph) []int {
-	order := make([]int, g.NumEdges())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := g.Edge(order[a]), g.Edge(order[b])
-		if ea.From != eb.From {
-			return ea.From < eb.From
+	order := make([]int, 0, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		start := len(order)
+		order = append(order, g.OutEdges(graph.Vertex(v))...)
+		out := order[start:]
+		if len(out) > 1 {
+			sort.Slice(out, func(a, b int) bool { return g.Edge(out[a]).To < g.Edge(out[b]).To })
 		}
-		return ea.To < eb.To
-	})
+	}
 	return order
 }

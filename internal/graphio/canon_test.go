@@ -1,6 +1,9 @@
 package graphio
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -105,5 +108,30 @@ func TestJobKey(t *testing.T) {
 	// Length prefixes prevent concatenation ambiguity between sections.
 	if JobKey([]string{"a"}, "b", "c") == JobKey([]string{"ab"}, "", "c") {
 		t.Fatal("section boundaries are ambiguous")
+	}
+}
+
+// TestCanonicalEdgeOrderSortsByEndpoints: the per-vertex order equals a
+// global sort of the edge indices by (from, to), on random digraphs with
+// shuffled insertion order and high out-degree.
+func TestCanonicalEdgeOrderSortsByEndpoints(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(12)
+		g := graph.New(n)
+		for k := r.Intn(4 * n); k > 0; k-- {
+			_ = g.AddEdge(graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n)), "R") // duplicates rejected
+		}
+		want := make([]int, g.NumEdges())
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			ea, eb := g.Edge(want[a]), g.Edge(want[b])
+			return ea.From < eb.From || (ea.From == eb.From && ea.To < eb.To)
+		})
+		if got := CanonicalEdgeOrder(g); !slices.Equal(got, want) {
+			t.Fatalf("order %v, want %v on %v", got, want, g)
+		}
 	}
 }

@@ -207,11 +207,11 @@ func (in *Instance) Apply(ifVersion int64, deltas []Delta) (*ApplyResult, error)
 		}
 	}
 
-	h2 := graph.NewProbGraph(g)
-	for i, r := range probs {
-		if err := h2.SetProb(i, r); err != nil {
-			return nil, phomerr.Wrap(phomerr.CodeBadInput, err)
-		}
+	// Every value in probs is either the old snapshot's (immutable) or a
+	// fresh copy made above, so the new snapshot can share them.
+	h2, err := graph.NewProbGraphWith(g, probs)
+	if err != nil {
+		return nil, phomerr.Wrap(phomerr.CodeBadInput, err)
 	}
 	next := &Snapshot{H: h2, Version: old.Version + 1}
 	in.cur.Store(next)

@@ -166,6 +166,13 @@ func PathOrder(g *graph.Graph) ([]graph.Vertex, []int, error) {
 
 // ConnectedOn2WP builds the lineage of the connected query q on the 2WP
 // instance h (Proposition 4.11). The query must have at least one edge.
+//
+// The clauses are exactly the inclusion-minimal windows: subpaths [i, j]
+// (path positions, i.e. the edges at positions i … j−1) with
+// q ⇝ subpath and q ⇝̸ any strictly smaller subpath. The image of a
+// connected query is a connected subpath of at most |E(q)| edges, so a
+// minimal window spans at most |E(q)| edges and no wider window is
+// probed. The whole construction is linear in |H| for a fixed query.
 func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (*IntervalLineage, error) {
 	if !q.IsConnected() {
 		return nil, fmt.Errorf("lineage: query is not connected: %v", q)
@@ -184,26 +191,37 @@ func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (*IntervalLineage, error
 	for i := range probs {
 		probs[i] = h.Prob(edgeAt[i])
 	}
-	// Minimal matches are the inclusion-minimal subpaths [i, j] with
-	// q ⇝ subpath. Homomorphism into a longer subpath is implied by
-	// homomorphism into a shorter one it contains, so for each left
-	// endpoint i the admissible right endpoints are upward closed and the
-	// minimal one is nondecreasing in i: a two-pointer sweep suffices.
+	// end[i] is the smallest j with q ⇝ [i, j] when that window spans
+	// at most k edges, and −1 otherwise. Homomorphism into [i, j] implies
+	// homomorphism into every window containing it, so the true minimal
+	// end is nondecreasing in i and one pointer j sweeps the path once:
+	// every probe either advances j or moves on to the next i. A failed
+	// bounded search at i leaves j = i+k+1, which is also a lower bound
+	// for the end at i+1.
+	k := q.NumEdges()
+	end := make([]int, n)
 	j := 0
 	for i := 0; i < n; i++ {
-		if j < i {
-			j = i
+		end[i] = -1
+		if j <= i {
+			j = i + 1 // q has an edge, so a window spans at least one
 		}
-		for j < n && !queryMapsToSubpath(q, h.G, order, i, j) {
-			j++
+		for ; j < n && j-i <= k; j++ {
+			if windowMatches(q, h.G, order, edgeAt, i, j) {
+				end[i] = j
+				break
+			}
 		}
-		if j == n {
-			break
+	}
+	// [i, end[i]] is minimal unless [i+1, end[i]] also matches, and since
+	// end[i+1] ≥ end[i] that happens exactly when the two ends coincide.
+	for i := 0; i < n; i++ {
+		if end[i] < 0 || (i+1 < n && end[i+1] == end[i]) {
+			continue
 		}
-		// Clause: edge positions i … j−1 (nonempty since q has an edge).
-		sys.Clauses = append(sys.Clauses, betadnf.Interval{Lo: i, Hi: j - 1})
-		clause := make([]boolform.Var, 0, j-i)
-		for p := i; p < j; p++ {
+		sys.Clauses = append(sys.Clauses, betadnf.Interval{Lo: i, Hi: end[i] - 1})
+		clause := make([]boolform.Var, 0, end[i]-i)
+		for p := i; p < end[i]; p++ {
 			clause = append(clause, boolform.Var(edgeAt[p]))
 		}
 		dnf.AddClause(clause...)
@@ -211,11 +229,19 @@ func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (*IntervalLineage, error
 	return &IntervalLineage{DNF: dnf, System: sys, Probs: probs, EdgeAt: edgeAt}, nil
 }
 
-// queryMapsToSubpath decides q ⇝ H[order[i..j]] using the X-property
+// windowMatches decides q ⇝ H[order[i..j]] using the X-property
 // algorithm: the subpath trivially has the X-property w.r.t. the order
-// a_i < … < a_j (§4.2).
-func queryMapsToSubpath(q, g *graph.Graph, order []graph.Vertex, i, j int) bool {
-	vs := order[i : j+1]
-	sub, _ := g.InducedSubgraph(vs)
-	return xprop.HasHomomorphism(q, sub, xprop.IdentityOrder(len(vs)))
+// a_i < … < a_j (§4.2). The window graph is built from the path edges
+// edgeAt[i..j−1] alone, so a probe costs O(j−i), not O(|H|).
+func windowMatches(q, g *graph.Graph, order []graph.Vertex, edgeAt []int, i, j int) bool {
+	w := graph.New(j - i + 1)
+	for p := i; p < j; p++ {
+		e := g.Edge(edgeAt[p])
+		a, b := graph.Vertex(p-i), graph.Vertex(p-i+1)
+		if e.From != order[p] {
+			a, b = b, a
+		}
+		w.MustAddEdge(a, b, e.Label)
+	}
+	return xprop.HasHomomorphism(q, w, xprop.IdentityOrder(j-i+1))
 }

@@ -3,8 +3,10 @@ package lineage
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"phom/internal/betadnf"
 	"phom/internal/boolform"
 	"phom/internal/gen"
 	"phom/internal/graph"
@@ -168,26 +170,105 @@ func TestConnectedOn2WPRejects(t *testing.T) {
 	}
 }
 
-// TestMinimalClausesOnly: the two-pointer sweep should not emit a clause
-// strictly containing another clause with the same right endpoint going
-// unnoticed — absorption keeps the formula small. We only check the count
-// stays ≤ number of positions.
-func TestClauseCountLinear(t *testing.T) {
+// bruteMinimalWindows is the test oracle for ConnectedOn2WP's clause
+// set: it decides q ⇝ H[order[i..j]] for every window with the
+// brute-force homomorphism search on the induced subgraph, and keeps the
+// windows that match while neither one-shorter window inside them does
+// (windows matching is upward closed, so that is inclusion-minimality).
+func bruteMinimalWindows(q *graph.Graph, h *graph.Graph) []betadnf.Interval {
+	order, _, err := PathOrder(h)
+	if err != nil {
+		panic(err)
+	}
+	n := len(order)
+	match := func(i, j int) bool {
+		if i >= j {
+			return false // q has an edge; a single vertex has none
+		}
+		sub, _ := h.InducedSubgraph(order[i : j+1])
+		return graph.HasHomomorphism(q, sub)
+	}
+	var out []betadnf.Interval
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if match(i, j) && !match(i+1, j) && !match(i, j-1) {
+				out = append(out, betadnf.Interval{Lo: i, Hi: j - 1})
+			}
+		}
+	}
+	return out
+}
+
+// checkMinimalWindows asserts ConnectedOn2WP's contract on one input:
+// the clauses are exactly the oracle's inclusion-minimal windows, no
+// wider than |E(q)|, the DNF lists the same edges, and the interval
+// system's probability is RatString-identical to the DNF's Shannon
+// probability.
+func checkMinimalWindows(t *testing.T, q *graph.Graph, h *graph.ProbGraph) {
+	t.Helper()
+	lin, err := ConnectedOn2WP(q, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteMinimalWindows(q, h.G)
+	if !slices.Equal(lin.System.Clauses, want) {
+		t.Fatalf("clauses %v, minimal windows %v\nq=%v\nh=%v", lin.System.Clauses, want, q, h.G)
+	}
+	if len(lin.DNF.Clauses) != len(want) {
+		t.Fatalf("%d DNF clauses for %d windows", len(lin.DNF.Clauses), len(want))
+	}
+	for _, c := range lin.System.Clauses {
+		if w := c.Hi - c.Lo + 1; w > q.NumEdges() {
+			t.Fatalf("clause %v is %d edges wide, query has %d", c, w, q.NumEdges())
+		}
+	}
+	want0 := lin.DNF.ShannonProb(h.Probs())
+	got, err := lin.System.Prob(lin.Probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RatString() != want0.RatString() {
+		t.Fatalf("interval system %s vs DNF %s\nq=%v\nh=%v", got.RatString(), want0.RatString(), q, h.G)
+	}
+}
+
+// TestConnectedOn2WPMinimalWindows: the bounded sweep emits exactly the
+// inclusion-minimal windows on random connected queries and 2WPs, with
+// a single label (so windows overlap heavily) and with two.
+func TestConnectedOn2WPMinimalWindows(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		q := gen.RandInClass(r, graph.ClassConnected, 1+r.Intn(4), twoLabels)
+	for trial := 0; trial < 200; trial++ {
+		labels := twoLabels
+		if trial%2 == 0 {
+			labels = twoLabels[:1]
+		}
+		q := gen.RandInClass(r, graph.ClassConnected, 1+r.Intn(5), labels)
 		if q.NumEdges() == 0 {
 			continue
 		}
-		inst := gen.Rand2WP(r, 2+r.Intn(20), twoLabels)
-		h := gen.RandProb(r, inst, 0.5)
-		lin, err := ConnectedOn2WP(q, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(lin.System.Clauses) > inst.NumVertices() {
-			t.Fatalf("%d clauses for %d vertices: sweep must be linear",
-				len(lin.System.Clauses), inst.NumVertices())
-		}
+		inst := gen.Rand2WP(r, 1+r.Intn(20), labels)
+		checkMinimalWindows(t, q, gen.RandProb(r, inst, 0.5))
 	}
+}
+
+// FuzzConnectedOn2WPLineage drives checkMinimalWindows with a random
+// connected query of at most 5 edges and a random 2WP of at most 24
+// edges, both drawn from the fuzzed seed and sizes.
+func FuzzConnectedOn2WPLineage(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(12), false)
+	f.Add(int64(7), uint8(5), uint8(24), true)
+	f.Add(int64(42), uint8(1), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, qSize, hSize uint8, oneLabel bool) {
+		r := rand.New(rand.NewSource(seed))
+		labels := twoLabels
+		if oneLabel {
+			labels = twoLabels[:1]
+		}
+		q := gen.RandInClass(r, graph.ClassConnected, 1+int(qSize)%5, labels)
+		if q.NumEdges() == 0 || q.NumEdges() > 5 {
+			return
+		}
+		inst := gen.Rand2WP(r, 1+int(hSize)%25, labels)
+		checkMinimalWindows(t, q, gen.RandProb(r, inst, 0.5))
+	})
 }
