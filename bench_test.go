@@ -68,8 +68,8 @@ func bruteCell(b *testing.B, qc, ic graph.Class, labeled bool, iSize int) {
 }
 
 // planPair compiles one representative structural plan (Prop 5.4: the
-// circuit-backed cell, where the interpreter-vs-tree contrast is
-// largest) and a reweighted probability vector for the IR benchmarks.
+// circuit-backed cell, with the longest programs) and a reweighted
+// probability vector for the IR benchmark.
 func planPair(b *testing.B) (*core.CompiledPlan, []*big.Rat) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
@@ -99,18 +99,6 @@ func BenchmarkE21_ProgramExec(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = p
-	}
-}
-
-func BenchmarkE21_PlanTreeEvaluate(b *testing.B) {
-	cp, probs := planPair(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := cp.EvaluateTree(probs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = res.Prob
 	}
 }
 
@@ -453,9 +441,9 @@ func BenchmarkAblation_BacktrackingHom(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RatDP vs FloatDP: exact rational vs float64
-// arithmetic in the Proposition 4.10 chain DP.
-func ablationChain() (*betadnf.ChainSystem, []*big.Rat, []float64) {
+// BenchmarkAblation_RatDP: the Proposition 4.10 chain DP evaluated
+// directly over exact rationals, without lowering to the Program IR.
+func ablationChain() (*betadnf.ChainSystem, []*big.Rat) {
 	r := rand.New(rand.NewSource(1))
 	q := gen.Rand1WP(r, 5, []Label{"R", "S"})
 	h := gen.RandProb(r, gen.RandDWT(r, 2048, []Label{"R", "S"}), 0.5)
@@ -463,15 +451,11 @@ func ablationChain() (*betadnf.ChainSystem, []*big.Rat, []float64) {
 	if err != nil {
 		panic(err)
 	}
-	floats := make([]float64, len(lin.Probs))
-	for i, p := range lin.Probs {
-		floats[i], _ = p.Float64()
-	}
-	return lin.System, lin.Probs, floats
+	return lin.System, lin.Probs
 }
 
 func BenchmarkAblation_RatDP(b *testing.B) {
-	sys, probs, _ := ablationChain()
+	sys, probs := ablationChain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := sys.Prob(probs)
@@ -479,15 +463,5 @@ func BenchmarkAblation_RatDP(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = p
-	}
-}
-
-func BenchmarkAblation_FloatDP(b *testing.B) {
-	sys, _, floats := ablationChain()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.ProbFloat(floats); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

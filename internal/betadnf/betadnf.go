@@ -19,8 +19,8 @@ type IntervalSystem struct {
 	Clauses []Interval
 }
 
-// shape validates the clauses and derives the trellis shared by Prob,
-// ProbFloat and EmitOps. minEnd[r] is the length of the shortest clause
+// shape validates the clauses and derives the trellis shared by Prob
+// and EmitOps. minEnd[r] is the length of the shortest clause
 // ending at variable r (0 = none), and streakCap, the largest minEnd,
 // bounds the streak states; it is 0 exactly when there is no clause.
 // constTrue reports an empty clause (the formula is true).

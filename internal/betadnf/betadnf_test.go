@@ -1,6 +1,7 @@
 package betadnf
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -87,7 +88,7 @@ func TestIntervalMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := intervalToDNF(s).ShannonProb(probs)
+		want := shannonProb(t, intervalToDNF(s), probs)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("interval DP mismatch on %v: got %s, want %s", s.Clauses, got.RatString(), want.RatString())
 		}
@@ -181,7 +182,7 @@ func TestChainMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := chainToDNF(c).ShannonProb(probs)
+		want := shannonProb(t, chainToDNF(c), probs)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("chain DP mismatch: parent=%v chain=%v got=%s want=%s",
 				parent, chain, got.RatString(), want.RatString())
@@ -263,8 +264,19 @@ func TestIntervalEmitIgnoresSameEndSupersets(t *testing.T) {
 		if p, _ := grown.Prob(em.probs); p.RatString() != want {
 			t.Fatalf("EmitOps %s vs Prob %s on %v", want, p.RatString(), grown.Clauses)
 		}
-		if o := intervalToDNF(grown).ShannonProb(em.probs); o.RatString() != want {
+		if o := shannonProb(t, intervalToDNF(grown), em.probs); o.RatString() != want {
 			t.Fatalf("EmitOps %s vs Shannon %s on %v", want, o.RatString(), grown.Clauses)
 		}
 	}
+}
+
+// shannonProb is ShannonProbContext under a background context, which never
+// fires.
+func shannonProb(t *testing.T, f *boolform.DNF, probs []*big.Rat) *big.Rat {
+	t.Helper()
+	p, err := f.ShannonProbContext(context.Background(), probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -164,24 +164,14 @@ func (f *DNF) BruteForceProb(probs []*big.Rat) *big.Rat {
 	return total
 }
 
-// ShannonProb computes Pr(f, π) exactly by Shannon expansion on the most
-// frequent variable, with absorption-based simplification and
-// memoization. Worst case exponential, but far faster than enumeration on
-// the structured lineages this library produces; it is the reference
-// oracle for the PTIME evaluators.
-func (f *DNF) ShannonProb(probs []*big.Rat) *big.Rat {
-	r, err := f.ShannonProbContext(context.Background(), probs)
-	if err != nil {
-		panic(err) // unreachable: the background context never fires
-	}
-	return r
-}
-
-// ShannonProbContext is ShannonProb with cooperative cancellation: the
-// expansion polls ctx every phomerr.CheckInterval recursion steps, so a
-// cancelled or deadlined context aborts even a worst-case exponential
-// expansion within one checkpoint interval and returns the typed
-// cancellation error. A run that completes is identical to ShannonProb.
+// ShannonProbContext computes Pr(f, π) exactly by Shannon expansion on
+// the most frequent variable, with absorption-based simplification and
+// memoization. Worst case exponential, but far faster than enumeration
+// on the structured lineages this library produces; it is the reference
+// oracle for the PTIME evaluators. The expansion polls ctx every
+// phomerr.CheckInterval recursion steps, so a cancelled or deadlined
+// context aborts even a worst-case exponential expansion within one
+// checkpoint interval and returns the typed cancellation error.
 func (f *DNF) ShannonProbContext(ctx context.Context, probs []*big.Rat) (*big.Rat, error) {
 	if len(probs) != f.NumVars {
 		panic("boolform: probability vector length mismatch")

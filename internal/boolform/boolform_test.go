@@ -1,6 +1,7 @@
 package boolform
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func TestEmptyAndTrueDNF(t *testing.T) {
 	if !f.Eval([]bool{false, false}) {
 		t.Fatal("empty clause must make the DNF true")
 	}
-	if f.ShannonProb(ratHalfs(2)).Cmp(big.NewRat(1, 1)) != 0 {
+	if shannonProb(t, f, ratHalfs(2)).Cmp(big.NewRat(1, 1)) != 0 {
 		t.Fatal("true DNF probability must be 1")
 	}
 }
@@ -112,7 +113,7 @@ func TestKnownProbability(t *testing.T) {
 	f.AddClause(1)
 	probs := []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)}
 	want := big.NewRat(2, 3)
-	if got := f.ShannonProb(probs); got.Cmp(want) != 0 {
+	if got := shannonProb(t, f, probs); got.Cmp(want) != 0 {
 		t.Fatalf("ShannonProb = %s, want %s", got.RatString(), want.RatString())
 	}
 	if got := f.BruteForceProb(probs); got.Cmp(want) != 0 {
@@ -128,7 +129,7 @@ func TestShannonMatchesBruteForce(t *testing.T) {
 		f := randDNF(r, n, r.Intn(7), 4)
 		probs := randProbs(r, n)
 		bf := f.BruteForceProb(probs)
-		sh := f.ShannonProb(probs)
+		sh := shannonProb(t, f, probs)
 		if bf.Cmp(sh) != 0 {
 			t.Fatalf("mismatch on %v: brute=%s shannon=%s", f, bf.RatString(), sh.RatString())
 		}
@@ -163,10 +164,10 @@ func TestProbabilityMonotone(t *testing.T) {
 		n := 2 + r.Intn(6)
 		f := randDNF(r, n, 1+r.Intn(4), 3)
 		probs := randProbs(r, n)
-		before := f.ShannonProb(probs)
+		before := shannonProb(t, f, probs)
 		g := &DNF{NumVars: n, Clauses: append([]Clause(nil), f.Clauses...)}
 		g.AddClause(Var(r.Intn(n)))
-		after := g.ShannonProb(probs)
+		after := shannonProb(t, g, probs)
 		if after.Cmp(before) < 0 {
 			t.Fatalf("probability decreased after adding a clause: %s -> %s", before.RatString(), after.RatString())
 		}
@@ -182,4 +183,15 @@ func TestStringRendering(t *testing.T) {
 	if f.String() != "(x0∧x2)" {
 		t.Fatalf("render = %q", f.String())
 	}
+}
+
+// shannonProb is ShannonProbContext under a background context, which never
+// fires.
+func shannonProb(t *testing.T, f *DNF, probs []*big.Rat) *big.Rat {
+	t.Helper()
+	p, err := f.ShannonProbContext(context.Background(), probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

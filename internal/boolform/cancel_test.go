@@ -37,20 +37,19 @@ func TestShannonProbContextPreCanceled(t *testing.T) {
 }
 
 // TestShannonProbContextCompletesEqual pins that a run that completes
-// under a live context is byte-identical to the context-free
-// ShannonProb.
+// under a live context equals the enumeration oracle BruteForceProb.
 func TestShannonProbContextCompletesEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 20; i++ {
 		f := randDNF(r, 10, 6, 3)
 		probs := randProbs(r, f.NumVars)
-		want := f.ShannonProb(probs)
+		want := f.BruteForceProb(probs)
 		got, err := f.ShannonProbContext(context.Background(), probs)
 		if err != nil {
 			t.Fatalf("ShannonProbContext: %v", err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("ShannonProbContext = %v, ShannonProb = %v", got, want)
+			t.Fatalf("ShannonProbContext = %v, BruteForceProb = %v", got, want)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func (cp *CompiledPlan) evaluateApprox(ctx context.Context, probs []*big.Rat, po
 }
 
 // cqLineageExtract returns the lineage extraction of a single
-// conjunctive query: the MatchLineage DNF over the instance's edge
+// conjunctive query: the MatchLineageContext DNF over the instance's edge
 // indices, capped at matchLimit enumerated matches.
 func cqLineageExtract(q *graph.Graph, g *graph.Graph, matchLimit int) func(context.Context) (*boolform.DNF, error) {
 	return func(ctx context.Context) (*boolform.DNF, error) {

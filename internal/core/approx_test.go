@@ -264,12 +264,12 @@ func TestApproxLineageMemoized(t *testing.T) {
 func TestApproxUCQ(t *testing.T) {
 	h := hardHalfInstance(t, 8, 6)
 	qs := UCQ{graph.UnlabeledPath(3), graph.UnlabeledPath(4)}
-	exact, err := SolveUCQ(qs, h, nil)
+	exact, err := SolveUCQContext(context.Background(), qs, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactF, _ := exact.Prob.Float64()
-	res, err := SolveUCQ(qs, h, approxOpts(9))
+	res, err := SolveUCQContext(context.Background(), qs, h, approxOpts(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,19 @@ package core
 import (
 	"context"
 	"math/big"
+
+	"phom/internal/plan"
 )
 
-// This file is the batched half of the dual-precision evaluation
-// contract: evaluating one compiled plan against K probability vectors
-// in a single pass. The fast and auto modes dispatch the plan's program
-// once through plan.ExecFloatBatch (one instruction decode for all K
-// lanes) and apply the serve-or-fall-back decision per lane, so a batch
-// keeps the exact-fallback semantics of K independent EvaluateOpts
-// calls while paying interpreter dispatch once. Exact mode and opaque
-// plans have no vectorizable kernel and degrade to a per-lane loop —
-// the results are identical either way, batching is purely a
-// performance property.
+// This file is the lane-routing core of plan evaluation: every public
+// Evaluate* method — one probability vector or K of them — funnels into
+// evaluateLanes. It validates each lane, runs the float64 interval
+// kernel once for all valid lanes when the policy asks for it (fast and
+// auto on a structural plan: one instruction decode for all K lanes),
+// and routes each lane independently to the float result, the exact
+// program, the opaque re-solve or the Karp–Luby sampler. A batch is
+// therefore identical, lane by lane, to K one-vector evaluations;
+// batching is purely a performance property.
 
 // BatchOutcome is the per-lane outcome of a batched evaluation: exactly
 // one of Result and Err is non-nil.
@@ -30,7 +31,7 @@ type BatchOutcome struct {
 // return; a malformed lane fails only itself. Under the fast and auto
 // precision modes the lanes share one batched kernel dispatch.
 func (cp *CompiledPlan) EvaluateBatchOpts(probVecs [][]*big.Rat, opts *Options) []BatchOutcome {
-	return cp.EvaluateBatchOptsContext(context.Background(), probVecs, opts)
+	return cp.evaluateLanes(context.Background(), probVecs, opts.policy())
 }
 
 // EvaluateBatchOptsContext is EvaluateBatchOpts under a context:
@@ -38,26 +39,22 @@ func (cp *CompiledPlan) EvaluateBatchOpts(probVecs [][]*big.Rat, opts *Options) 
 // per-lane exact fallbacks at theirs, so a cancelled batch surfaces the
 // typed cancellation error on the lanes that had not completed.
 func (cp *CompiledPlan) EvaluateBatchOptsContext(ctx context.Context, probVecs [][]*big.Rat, opts *Options) []BatchOutcome {
-	pol := opts.policy()
+	return cp.evaluateLanes(ctx, probVecs, opts.policy())
+}
+
+// evaluateOne is the one-lane call into evaluateLanes behind Evaluate,
+// EvaluateContext, EvaluateOpts and EvaluateOptsContext.
+func (cp *CompiledPlan) evaluateOne(ctx context.Context, probs []*big.Rat, pol evalPolicy) (*Result, error) {
+	o := cp.evaluateLanes(ctx, [][]*big.Rat{probs}, pol)[0]
+	return o.Result, o.Err
+}
+
+// evaluateLanes validates every lane, then picks each lane's numeric
+// substrate under pol.
+func (cp *CompiledPlan) evaluateLanes(ctx context.Context, probVecs [][]*big.Rat, pol evalPolicy) []BatchOutcome {
 	out := make([]BatchOutcome, len(probVecs))
-	if len(probVecs) == 0 {
-		return out
-	}
-
-	// Opaque plans, exact mode and approx mode have no vectorizable
-	// kernel: the lanes loop through the routing core one by one (an
-	// approx batch still shares the plan's memoized lineage DNF, so the
-	// extraction cost is paid once).
-	if cp.opaque || pol.prec == PrecisionExact || pol.prec == PrecisionApprox {
-		for k, probs := range probVecs {
-			res, err := cp.evaluate(ctx, probs, pol)
-			out[k] = BatchOutcome{Result: res, Err: err}
-		}
-		return out
-	}
-
-	// Fast/auto: validate every lane first so one malformed vector
-	// cannot fail the shared kernel dispatch for the others.
+	// Validate every lane first so one malformed vector cannot fail the
+	// shared kernel dispatch for the others.
 	valid := make([]int, 0, len(probVecs))
 	for k, probs := range probVecs {
 		if err := cp.validateProbs(probs); err != nil {
@@ -69,28 +66,54 @@ func (cp *CompiledPlan) EvaluateBatchOptsContext(ctx context.Context, probVecs [
 	if len(valid) == 0 {
 		return out
 	}
-	vecs := make([][]*big.Rat, len(valid))
-	for i, k := range valid {
-		vecs[i] = probVecs[k]
+
+	// Opaque plans have no program, hence no float kernel; exact and
+	// approx policies never consult it.
+	var ivs []plan.Enclosure
+	if !cp.opaque && (pol.prec == PrecisionFast || pol.prec == PrecisionAuto) {
+		vecs := probVecs
+		if len(valid) < len(probVecs) {
+			vecs = make([][]*big.Rat, len(valid))
+			for i, k := range valid {
+				vecs[i] = probVecs[k]
+			}
+		}
+		// A kernel error (cancellation) leaves ivs nil: every lane then
+		// takes the exact path, which reports the error itself.
+		ivs, _ = cp.prog.ExecFloatBatchCtx(ctx, vecs)
 	}
 
-	ivs, err := cp.prog.ExecFloatBatchCtx(ctx, vecs)
 	for i, k := range valid {
-		if err == nil {
+		if ivs != nil {
 			if res, ok := cp.serveFloat(ivs[i], pol.prec, pol.tol); ok {
 				out[k] = BatchOutcome{Result: res}
 				continue
 			}
 		}
-		// Kernel failure (cancellation, degenerate arithmetic) or a lane
-		// the serve decision rejected (NaN enclosure, auto-mode tolerance
-		// miss): exact fallback, byte-identical to PrecisionExact.
-		pr, execErr := cp.prog.ExecCtx(ctx, probVecs[k])
-		if execErr != nil {
-			out[k] = BatchOutcome{Err: execErr}
-			continue
-		}
-		out[k] = BatchOutcome{Result: &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}}
+		// Kernel failure (cancellation, degenerate arithmetic), a lane the
+		// serve decision rejected (NaN enclosure, auto-mode tolerance
+		// miss), or a policy without a float path: evaluate exactly.
+		res, err := cp.evaluateExact(ctx, probVecs[k], pol)
+		out[k] = BatchOutcome{Result: res, Err: err}
 	}
 	return out
+}
+
+// evaluateExact answers one validated lane without the float kernel. A
+// structural plan executes its program over exact rationals. An opaque
+// plan routes to the Karp–Luby estimator over its lineage DNF under
+// the approx policy and re-solves with an exponential baseline under
+// every other (the baselines are the arbiter, not a fast path).
+func (cp *CompiledPlan) evaluateExact(ctx context.Context, probs []*big.Rat, pol evalPolicy) (*Result, error) {
+	if cp.opaque {
+		if pol.prec == PrecisionApprox {
+			return cp.evaluateApprox(ctx, probs, pol)
+		}
+		return cp.resolve(ctx, probs)
+	}
+	pr, err := cp.prog.ExecCtx(ctx, probs)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}, nil
 }

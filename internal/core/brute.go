@@ -116,15 +116,10 @@ func LineageShannonContext(ctx context.Context, q *graph.Graph, h *graph.ProbGra
 	return dnf.ShannonProbContext(ctx, probs)
 }
 
-// MatchLineage builds the DNF lineage of q on the (deterministic part of
-// the) instance g: one clause per distinct match image, over the edge
-// indices of g. maxMatches caps enumeration (0 = unbounded).
-func MatchLineage(q, g *graph.Graph, maxMatches int) (*boolform.DNF, error) {
-	return MatchLineageContext(context.Background(), q, g, maxMatches)
-}
-
-// MatchLineageContext is MatchLineage with cooperative cancellation,
-// polled once per enumerated homomorphism.
+// MatchLineageContext builds the DNF lineage of q on the (deterministic
+// part of the) instance g: one clause per distinct match image, over
+// the edge indices of g. maxMatches caps enumeration (0 = unbounded);
+// ctx is polled once per enumerated homomorphism.
 func MatchLineageContext(ctx context.Context, q, g *graph.Graph, maxMatches int) (*boolform.DNF, error) {
 	dnf := boolform.NewDNF(g.NumEdges())
 	seen := map[string]bool{}

@@ -1,32 +1,52 @@
 package core
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/phomerr"
+	"phom/internal/plan"
 )
+
+// execPlan lowers a cell compiler's plan over h's edge list and
+// executes it exactly against h's own probabilities.
+func execPlan(t *testing.T, p plan.Plan, h *graph.ProbGraph) *big.Rat {
+	t.Helper()
+	prog, err := plan.Lower(p, h.G.NumEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := prog.Exec(h.Probs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
 
 // TestTwoIndependentAlgorithmsAgreeOnDWT: a DWT instance is also a
 // polytree, so the unlabeled path probability can be computed both by
 // the chain-system dynamic program (Proposition 4.10's machinery) and by
-// the tree-automaton/d-DNNF pipeline (Proposition 5.4). The two code
-// paths share nothing; they must agree exactly.
+// the tree-automaton/d-DNNF pipeline (Proposition 5.4). The two
+// compilers share nothing but the Program IR they lower to; they must
+// agree exactly.
 func TestTwoIndependentAlgorithmsAgreeOnDWT(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		h := gen.RandProb(r, gen.RandDWT(r, 2+r.Intn(20), nil), 0.3)
 		m := r.Intn(7)
-		viaChain, err := DirectedPathProbOnDWTs(h, m)
+		chain, err := plan.DirectedPathOnDWTs(h, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaAutomaton, err := DirectedPathProbOnPolytrees(h, m)
+		automaton, err := plan.DirectedPathOnPolytrees(h, m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		viaChain, viaAutomaton := execPlan(t, chain, h), execPlan(t, automaton, h)
 		if viaChain.Cmp(viaAutomaton) != 0 {
 			t.Fatalf("chain DP %s vs automaton %s (m=%d)\nh=%v",
 				viaChain.RatString(), viaAutomaton.RatString(), m, h)
@@ -43,18 +63,18 @@ func TestSolveAllOnDWTUngradedIsZero(t *testing.T) {
 	cyc.MustAddEdge(0, 1, graph.Unlabeled)
 	cyc.MustAddEdge(1, 2, graph.Unlabeled)
 	cyc.MustAddEdge(2, 0, graph.Unlabeled)
-	p, err := SolveAllOnDWT(cyc, h)
-	if err != nil || p.Sign() != 0 {
-		t.Fatalf("cycle query: %v %v", p, err)
+	res, err := Solve(cyc, h, &Options{DisableFallback: true})
+	if err != nil || res.Prob.Sign() != 0 {
+		t.Fatalf("cycle query: %v %v", res, err)
 	}
 	// A jumping edge.
 	jump := graph.New(3)
 	jump.MustAddEdge(0, 1, graph.Unlabeled)
 	jump.MustAddEdge(1, 2, graph.Unlabeled)
 	jump.MustAddEdge(0, 2, graph.Unlabeled)
-	p, err = SolveAllOnDWT(jump, h)
-	if err != nil || p.Sign() != 0 {
-		t.Fatalf("jumping query: %v %v", p, err)
+	res, err = Solve(jump, h, &Options{DisableFallback: true})
+	if err != nil || res.Prob.Sign() != 0 {
+		t.Fatalf("jumping query: %v %v", res, err)
 	}
 	// And brute force agrees.
 	if BruteForce(jump, h).Sign() != 0 {
@@ -62,18 +82,20 @@ func TestSolveAllOnDWTUngradedIsZero(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsRejectWrongClasses: each algorithm validates its
-// preconditions instead of silently computing nonsense.
+// TestAlgorithmsRejectWrongClasses: each cell validates its
+// preconditions instead of silently computing nonsense — the plan
+// compilers refuse instances outside their class, and the dispatch
+// refuses a query outside every tractable cell.
 func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	poly := graph.New(3) // polytree that is not a DWT
 	poly.MustAddEdge(0, 1, graph.Unlabeled)
 	poly.MustAddEdge(2, 1, graph.Unlabeled)
 	hPoly := graph.NewProbGraph(poly)
 
-	if _, err := SolvePath1WPOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
+	if _, err := plan.Path1WPOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
 		t.Fatal("Prop 4.10 accepted a non-DWT instance")
 	}
-	if _, err := SolveAllOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
+	if _, err := plan.DirectedPathOnDWTs(hPoly, 2); err == nil {
 		t.Fatal("Prop 3.6 accepted a non-⊔DWT instance")
 	}
 	tri := graph.New(3)
@@ -81,14 +103,14 @@ func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	tri.MustAddEdge(1, 2, graph.Unlabeled)
 	tri.MustAddEdge(0, 2, graph.Unlabeled)
 	hTri := graph.NewProbGraph(tri)
-	if _, err := DirectedPathProbOnPolytrees(hTri, 2); err == nil {
+	if _, err := plan.DirectedPathOnPolytrees(hTri, 2); err == nil {
 		t.Fatal("Prop 5.4 accepted a non-polytree instance")
 	}
-	if _, err := SolveConnectedOn2WP(graph.UnlabeledPath(1), hTri); err == nil {
+	if _, err := plan.ConnectedOn2WP(graph.UnlabeledPath(1), hTri); err == nil {
 		t.Fatal("Prop 4.11 accepted a non-2WP instance")
 	}
-	if _, err := SolveUDWTQueryOnPolytrees(tri, hPoly); err == nil {
-		t.Fatal("Prop 5.5 accepted a non-⊔DWT query")
+	if _, err := Compile(tri, graph.NewProbGraph(genuinePolytree()), &Options{DisableFallback: true}); !errors.Is(err, phomerr.ErrIntractable) {
+		t.Fatalf("Prop 5.5 accepted a non-⊔DWT query: err = %v", err)
 	}
 }
 
@@ -188,37 +210,14 @@ func TestLemma37Decomposition(t *testing.T) {
 		u, _ := graph.DisjointUnion(parts...)
 		h := gen.RandProb(r, u, 0.3)
 		m := 1 + r.Intn(4)
-		got, err := DirectedPathProbOnPolytrees(h, m)
+		p, err := plan.DirectedPathOnPolytrees(h, m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := execPlan(t, p, h)
 		want := BruteForce(graph.UnlabeledPath(m), h)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Lemma 3.7 decomposition wrong: %s vs %s", got.RatString(), want.RatString())
-		}
-	}
-}
-
-// TestFloatDPDriftBounded: the float64 ablation path must stay within
-// 1e-9 of the exact rational result on moderate instances.
-func TestFloatDPDriftBounded(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 30; trial++ {
-		h := gen.RandProb(r, gen.RandDWT(r, 50, nil), 0.3)
-		m := 1 + r.Intn(4)
-		exact, err := DirectedPathProbOnDWTs(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rebuild the chain system for the float evaluation.
-		res, err := Solve(graph.UnlabeledPath(m), h, &Options{DisableFallback: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ef, _ := exact.Float64()
-		rf, _ := res.Prob.Float64()
-		if diff := ef - rf; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("float drift too large: %g vs %g", ef, rf)
 		}
 	}
 }

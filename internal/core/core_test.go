@@ -383,11 +383,15 @@ func TestCombineComponents(t *testing.T) {
 		plan.NewConst(big.NewRat(1, 2)),
 		plan.NewConst(big.NewRat(1, 3)),
 	}}
-	got, err := c.Evaluate(nil)
+	prog, err := plan.Lower(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prog.Exec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(big.NewRat(2, 3)) != 0 {
-		t.Fatalf("Components.Evaluate = %s, want 2/3", got.RatString())
+		t.Fatalf("lowered Components = %s, want 2/3", got.RatString())
 	}
 }

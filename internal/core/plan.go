@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -16,24 +17,22 @@ import (
 
 // This file implements the two-stage solver pipeline: Compile runs the
 // probability-independent phase of Solve (classification, dispatch,
-// lineage/circuit construction) and returns a CompiledPlan; Evaluate
-// replays only the linear probability computation. Solve and SolveUCQ
-// are thin compositions of the two, so a compiled plan evaluated
-// against any probability assignment is byte-identical to a fresh
-// solve of the reweighted instance.
+// lineage/circuit construction, lowering to the Program IR) and returns
+// a CompiledPlan; Evaluate replays only the linear probability
+// computation. Solve and SolveUCQContext are thin compositions of the
+// two, so a compiled plan evaluated against any probability assignment
+// is byte-identical to a fresh solve of the reweighted instance.
 
 // CompiledPlan is an evaluable solver plan for one (query or UCQ,
 // instance structure, options) job. Plans are immutable and safe for
 // concurrent Evaluate calls.
 //
-// A non-opaque plan holds the same artifact twice: the plan tree built
-// by the cell compilers of internal/plan (the PR 2 evaluation path,
-// kept as the differential reference and for benchmarks) and its
-// lowering to the flat Program IR, which is what Evaluate executes and
-// what MarshalBinary serializes. Plans restored from a serialized form
-// carry only the program (Tree evaluation is then unavailable); their
-// Evaluate results are identical, because lowering preserves the exact
-// rational arithmetic op for op.
+// A non-opaque plan evaluates through its lowering to the flat Program
+// IR, which is also what MarshalBinary serializes. It keeps the plan
+// tree built by the cell compilers of internal/plan only as the splice
+// seam of PatchCompile (the parts of a Components composite); plans
+// restored from a serialized form carry only the program and are
+// always recompiled, never patched.
 type CompiledPlan struct {
 	method Method
 	opaque bool
@@ -119,37 +118,13 @@ func (cp *CompiledPlan) Method() (m Method, ok bool) {
 // the correspondingly reweighted instance; with fast or auto it may be
 // a certified float64 enclosure instead (Result.Bounds).
 func (cp *CompiledPlan) Evaluate(probs []*big.Rat) (*Result, error) {
-	return cp.evaluate(context.Background(), probs, cp.pol)
+	return cp.evaluateOne(context.Background(), probs, cp.pol)
 }
 
-// EvaluateContext is Evaluate under a context: exact evaluation and
-// opaque re-solves poll ctx at cooperative checkpoints (the float
-// kernel runs to completion — it is microseconds even on huge plans).
+// EvaluateContext is Evaluate under a context: the float kernel, exact
+// evaluation and opaque re-solves poll ctx at cooperative checkpoints.
 func (cp *CompiledPlan) EvaluateContext(ctx context.Context, probs []*big.Rat) (*Result, error) {
-	return cp.evaluate(ctx, probs, cp.pol)
-}
-
-// EvaluateTree evaluates through the plan tree instead of the
-// flattened program — the PR 2 evaluation path, kept as the
-// differential reference (the tests pin Exec and tree evaluation
-// byte-identical) and for the interpreter-vs-tree benchmark. It fails
-// for opaque plans and for plans restored from bytes, which carry no
-// tree.
-func (cp *CompiledPlan) EvaluateTree(probs []*big.Rat) (*Result, error) {
-	if cp.tree == nil {
-		return nil, fmt.Errorf("core: plan has no tree evaluator (opaque or restored from bytes)")
-	}
-	pr, err := cp.tree.Evaluate(probs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Prob: pr, Method: cp.method}, nil
-}
-
-// EvaluateInstance evaluates the plan against the probabilities of h,
-// which must carry the structure the plan was compiled from.
-func (cp *CompiledPlan) EvaluateInstance(h *graph.ProbGraph) (*Result, error) {
-	return cp.Evaluate(h.Probs())
+	return cp.evaluateOne(ctx, probs, cp.pol)
 }
 
 // MarshalBinary encodes the plan in the canonical binary form of
@@ -158,7 +133,7 @@ func (cp *CompiledPlan) EvaluateInstance(h *graph.ProbGraph) (*Result, error) {
 // evaluation is an exponential re-solve, not data.
 func (cp *CompiledPlan) MarshalBinary() ([]byte, error) {
 	if cp.opaque {
-		return nil, fmt.Errorf("core: opaque plans are not serializable: %w", plan.ErrOpaque)
+		return nil, errors.New("core: opaque plans are not serializable")
 	}
 	structKey, canonOrder := cp.key()
 	return graphio.AppendPlanRecord(nil, &graphio.PlanRecord{
@@ -366,15 +341,10 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 	return opaquePlan(resolve, extract, n, key, opts), nil
 }
 
-// CompileUCQ runs the probability-independent phase of SolveUCQ,
-// dispatching to a lifted polynomial-time compiler when every disjunct
-// falls in a compatible tractable cell and to an opaque re-solve plan
-// otherwise (unless fallback is disabled).
-func CompileUCQ(qs UCQ, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
-	return CompileUCQContext(context.Background(), qs, h, opts)
-}
-
-// CompileUCQContext is CompileUCQ under a context, with the same
+// CompileUCQContext runs the probability-independent phase of
+// SolveUCQContext, dispatching to a lifted polynomial-time compiler when
+// every disjunct falls in a compatible tractable cell and to an opaque
+// re-solve plan otherwise (unless fallback is disabled), with the same
 // checkpoint contract as CompileContext.
 func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
 	if err := opts.Validate(); err != nil {
@@ -560,10 +530,10 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 // seal lowers a plan tree to its flattened program and stamps the
 // job's structure identity and evaluation substrate (opts precision)
 // on the resulting CompiledPlan. Every structural compile path funnels
-// through here, so non-opaque plans always carry both evaluation forms
-// and are always serializable — and every lowering polls ctx (the
-// compile-time dynamic programs unroll inside Lower, so this is where
-// the bulk of compile-side cancellation happens).
+// through here, so non-opaque plans always carry a program and are
+// always serializable — and every lowering polls ctx (the compile-time
+// dynamic programs unroll inside Lower, so this is where the bulk of
+// compile-side cancellation happens).
 func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (string, []int), opts *Options) (*CompiledPlan, error) {
 	prog, err := plan.LowerContext(ctx, p, numEdges)
 	if err != nil {

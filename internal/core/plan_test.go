@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -115,12 +116,12 @@ func TestCompileUCQEvaluateMatchesSolveUCQ(t *testing.T) {
 			gen.RandProb(r, gen.RandGraph(r, 5, 8, rs), 0.3)},
 	}
 	for _, u := range unions {
-		cp, err := CompileUCQ(u.qs, u.h, nil)
+		cp, err := CompileUCQContext(context.Background(), u.qs, u.h, nil)
 		if err != nil {
 			t.Fatalf("%s: CompileUCQ: %v", u.name, err)
 		}
 		for reweight := 0; reweight < 4; reweight++ {
-			want, err := SolveUCQ(u.qs, u.h, nil)
+			want, err := SolveUCQContext(context.Background(), u.qs, u.h, nil)
 			if err != nil {
 				t.Fatalf("%s: SolveUCQ: %v", u.name, err)
 			}
@@ -238,7 +239,7 @@ func TestOptionsValidate(t *testing.T) {
 		if _, err := Solve(q, h, opts); err == nil || !strings.Contains(err.Error(), "negative") {
 			t.Errorf("Solve with %s: err = %v, want negative-limit rejection", name, err)
 		}
-		if _, err := SolveUCQ(UCQ{q}, h, opts); err == nil || !strings.Contains(err.Error(), "negative") {
+		if _, err := SolveUCQContext(context.Background(), UCQ{q}, h, opts); err == nil || !strings.Contains(err.Error(), "negative") {
 			t.Errorf("SolveUCQ with %s: err = %v, want negative-limit rejection", name, err)
 		}
 		if _, err := Compile(q, h, opts); err == nil || !strings.Contains(err.Error(), "negative") {

@@ -161,7 +161,7 @@ func (o *Options) policy() evalPolicy {
 // (the per-job options decide the substrate; a restored plan carries no
 // precision of its own), and tests use it to force substrates.
 func (cp *CompiledPlan) EvaluateOpts(probs []*big.Rat, opts *Options) (*Result, error) {
-	return cp.evaluate(context.Background(), probs, opts.policy())
+	return cp.evaluateOne(context.Background(), probs, opts.policy())
 }
 
 // EvaluateOptsContext is EvaluateOpts under a context: exact program
@@ -170,40 +170,11 @@ func (cp *CompiledPlan) EvaluateOpts(probs []*big.Rat, opts *Options) (*Result, 
 // into the sampling loop), so cancellation works on the evaluation side
 // of the pipeline too.
 func (cp *CompiledPlan) EvaluateOptsContext(ctx context.Context, probs []*big.Rat, opts *Options) (*Result, error) {
-	return cp.evaluate(ctx, probs, opts.policy())
-}
-
-// evaluate is the routing core shared by Evaluate and EvaluateOpts:
-// validate the probability vector, then pick the numeric substrate.
-func (cp *CompiledPlan) evaluate(ctx context.Context, probs []*big.Rat, pol evalPolicy) (*Result, error) {
-	if err := cp.validateProbs(probs); err != nil {
-		return nil, err
-	}
-	if cp.opaque {
-		// Opaque plans have no program, hence no float kernel. The approx
-		// mode routes them to the Karp–Luby estimator over the plan's
-		// lineage DNF; every other mode evaluates them exactly (the
-		// baselines are the arbiter, not a fast path).
-		if pol.prec == PrecisionApprox {
-			return cp.evaluateApprox(ctx, probs, pol)
-		}
-		return cp.resolve(ctx, probs)
-	}
-	if pol.prec == PrecisionFast || pol.prec == PrecisionAuto {
-		if res, ok := cp.evaluateFloat(probs, pol.prec, pol.tol); ok {
-			return res, nil
-		}
-	}
-	pr, err := cp.prog.ExecCtx(ctx, probs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}, nil
+	return cp.evaluateOne(ctx, probs, opts.policy())
 }
 
 // validateProbs checks a probability vector against the plan: right
-// length, no nils, every entry in [0,1]. Shared by the single-vector
-// and batched evaluation entry points.
+// length, no nils, every entry in [0,1].
 func (cp *CompiledPlan) validateProbs(probs []*big.Rat) error {
 	if len(probs) != cp.numEdges {
 		return phomerr.New(phomerr.CodeBadInput, "core: %d probabilities for a plan over %d edges", len(probs), cp.numEdges)
@@ -223,23 +194,11 @@ func (cp *CompiledPlan) validateProbs(probs []*big.Rat) error {
 	return nil
 }
 
-// evaluateFloat runs the float64 interval kernel and decides whether
-// its result may be served: always for PrecisionFast (the caller asked
-// for float speed), and only within tolerance for PrecisionAuto. ok is
-// false when the caller must fall back to exact arithmetic — kernel
-// failure, a non-finite enclosure, or an auto-mode tolerance miss.
-func (cp *CompiledPlan) evaluateFloat(probs []*big.Rat, prec Precision, tol float64) (*Result, bool) {
-	iv, err := cp.prog.ExecFloat(probs)
-	if err != nil {
-		return nil, false
-	}
-	return cp.serveFloat(iv, prec, tol)
-}
-
-// serveFloat applies the serve-or-fall-back decision to one certified
-// enclosure — the per-lane half of evaluateFloat, shared with the
-// batched path, which produces K enclosures from a single kernel
-// dispatch and routes each lane through this independently.
+// serveFloat decides whether one lane's certified enclosure may be
+// served: always for PrecisionFast (the caller asked for float speed),
+// and only within tolerance for PrecisionAuto. ok is false when the
+// lane must fall back to exact arithmetic — a non-finite enclosure or
+// an auto-mode tolerance miss.
 func (cp *CompiledPlan) serveFloat(iv plan.Enclosure, prec Precision, tol float64) (*Result, bool) {
 	mid := iv.Mid()
 	if math.IsInf(mid, 0) || math.IsNaN(mid) {

@@ -119,7 +119,7 @@ func (o *Options) disableFallback() bool {
 // Validate rejects option values the solver would otherwise silently
 // misread: negative limits are not "unbounded" (0 means default; the
 // baselines treat a negative cap as no cap, which callers almost never
-// intend). Solve, SolveUCQ and Compile call this on entry. Failures are
+// intend). Solve, SolveUCQContext and Compile call this on entry. Failures are
 // typed phomerr.CodeBadInput.
 func (o *Options) Validate() error {
 	if o == nil {

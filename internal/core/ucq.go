@@ -31,7 +31,7 @@ import (
 type UCQ []*graph.Graph
 
 // BruteForceUCQ computes Pr(G₁ ∨ … ∨ G_k ⇝ H) by world enumeration; it
-// is the oracle for SolveUCQ. maxUncertain caps the enumerated coins
+// is the oracle for SolveUCQContext. maxUncertain caps the enumerated coins
 // (0 = unbounded).
 func BruteForceUCQ(qs UCQ, h *graph.ProbGraph, maxUncertain int) (*big.Rat, error) {
 	return BruteForceUCQContext(context.Background(), qs, h, maxUncertain)
@@ -85,19 +85,13 @@ func BruteForceUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, maxUn
 	return total, nil
 }
 
-// SolveUCQ computes Pr(G₁ ∨ … ∨ G_k ⇝ H), dispatching to a lifted
-// polynomial-time algorithm when every disjunct falls in a compatible
-// tractable cell, and otherwise to the exponential baseline (unless
-// disabled). Like Solve it is the composition of the two pipeline
-// stages: CompileUCQ builds the probability-independent plan and
-// Evaluate runs the linear phase against h's own probabilities.
-func SolveUCQ(qs UCQ, h *graph.ProbGraph, opts *Options) (*Result, error) {
-	return SolveUCQContext(context.Background(), qs, h, opts)
-}
-
-// SolveUCQContext is SolveUCQ under a context, with the same
-// cancellation contract as SolveContext; a run that completes is
-// byte-identical to SolveUCQ.
+// SolveUCQContext computes Pr(G₁ ∨ … ∨ G_k ⇝ H), dispatching to a
+// lifted polynomial-time algorithm when every disjunct falls in a
+// compatible tractable cell, and otherwise to the exponential baseline
+// (unless disabled). Like SolveContext it is the composition of the two
+// pipeline stages — CompileUCQContext builds the probability-independent
+// plan and the plan evaluates against h's own probabilities — with the
+// same cancellation contract.
 func SolveUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Options) (*Result, error) {
 	cp, err := CompileUCQContext(ctx, qs, h, opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -47,7 +48,7 @@ func TestSolveUCQMatchesBruteForce(t *testing.T) {
 					}
 				}
 				h := gen.RandProb(r, gen.RandInClass(r, cell.ic, 1+r.Intn(8), labels), 0.3)
-				res, err := SolveUCQ(qs, h, &Options{DisableFallback: true})
+				res, err := SolveUCQContext(context.Background(), qs, h, &Options{DisableFallback: true})
 				if err != nil {
 					t.Fatalf("trial %d: lifted algorithm refused: %v", trial, err)
 				}
@@ -75,7 +76,7 @@ func TestSolveUCQFallback(t *testing.T) {
 			gen.RandInClass(r, graph.ClassDWT, 2+r.Intn(3), twoLabels),
 		}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassDWT, 2+r.Intn(6), twoLabels), 0.3)
-		res, err := SolveUCQ(qs, h, nil)
+		res, err := SolveUCQContext(context.Background(), qs, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,17 +90,17 @@ func TestSolveUCQFallback(t *testing.T) {
 func TestSolveUCQTrivia(t *testing.T) {
 	h := graph.NewProbGraph(graph.Path1WP("R"))
 	// Empty union is false.
-	res, err := SolveUCQ(nil, h, nil)
+	res, err := SolveUCQContext(context.Background(), nil, h, nil)
 	if err != nil || res.Prob.Sign() != 0 {
 		t.Fatalf("empty UCQ: %v %v", res, err)
 	}
 	// An edgeless disjunct makes the union certain.
-	res, err = SolveUCQ(UCQ{graph.Path1WP("Z"), graph.New(2)}, h, nil)
+	res, err = SolveUCQContext(context.Background(), UCQ{graph.Path1WP("Z"), graph.New(2)}, h, nil)
 	if err != nil || res.Prob.Cmp(graph.RatOne) != 0 {
 		t.Fatalf("edgeless disjunct: %v %v", res, err)
 	}
 	// All-mismatched labels give 0.
-	res, err = SolveUCQ(UCQ{graph.Path1WP("Z"), graph.Path1WP("Y")}, h, nil)
+	res, err = SolveUCQContext(context.Background(), UCQ{graph.Path1WP("Z"), graph.Path1WP("Y")}, h, nil)
 	if err != nil || res.Prob.Sign() != 0 || res.Method != MethodLabelMismatch {
 		t.Fatalf("label mismatch union: %v %v", res, err)
 	}
@@ -116,7 +117,7 @@ func TestUCQSubsumesSingleQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		union, err := SolveUCQ(UCQ{q}, h, nil)
+		union, err := SolveUCQContext(context.Background(), UCQ{q}, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +134,11 @@ func TestUCQMonotone(t *testing.T) {
 		q1 := gen.RandInClass(r, graph.ClassConnected, 1+r.Intn(4), twoLabels)
 		q2 := gen.RandInClass(r, graph.ClassConnected, 1+r.Intn(4), twoLabels)
 		h := gen.RandProb(r, gen.RandInClass(r, graph.Class2WP, 1+r.Intn(8), twoLabels), 0.3)
-		p1, err := SolveUCQ(UCQ{q1}, h, nil)
+		p1, err := SolveUCQContext(context.Background(), UCQ{q1}, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p12, err := SolveUCQ(UCQ{q1, q2}, h, nil)
+		p12, err := SolveUCQContext(context.Background(), UCQ{q1, q2}, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

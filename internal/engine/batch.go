@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/maphash"
-	"math/big"
 	"sort"
 	"time"
 
@@ -352,107 +351,33 @@ func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, job
 }
 
 // executeBatch runs one group's pending lanes on the calling worker:
-// it acquires the group's compiled plan — cache hit, wait on an
-// in-flight compile, or compile as the leader, the same per-structure
-// singleflight protocol runPlanned uses — transports every lane's
-// probabilities onto the plan's edge numbering, and evaluates all
-// lanes through core's batched kernel. Returns one outcome per lane
-// and whether the lanes were served by a cached plan.
+// it acquires the group's compiled plan and every lane's transported
+// probabilities through acquirePlan — the protocol the per-job path
+// uses — and evaluates all lanes through core's batched kernel.
+// Returns one outcome per lane and whether the lanes were served by a
+// cached plan.
 func (e *Engine) executeBatch(ctx context.Context, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int, instances []*graph.ProbGraph) ([]core.BatchOutcome, bool) {
-	failAll := func(err error) []core.BatchOutcome {
-		outs := make([]core.BatchOutcome, len(instances))
+	cp, probVecs, planHit, err := e.acquirePlan(ctx, qs, opts, structKey, canonOrder, instances)
+	var outs []core.BatchOutcome
+	if err != nil {
+		outs = make([]core.BatchOutcome, len(instances))
 		for k := range outs {
 			outs[k] = core.BatchOutcome{Err: err}
 		}
-		return outs
+	} else {
+		outs = cp.EvaluateBatchOptsContext(ctx, probVecs, opts)
 	}
-
-	var ent *core.CompiledPlan
-	registered := false
-	for {
-		var wait chan struct{}
-		e.mu.Lock()
-		if e.plans == nil {
-			e.mu.Unlock()
-			break
-		}
-		if got, ok := e.plans.get(structKey); ok {
-			ent = got
-		} else if ch, ok := e.planFlight[structKey]; ok {
-			wait = ch
-		} else {
-			e.planFlight[structKey] = make(chan struct{})
-			registered = true
-		}
-		e.mu.Unlock()
-		if wait != nil {
-			select {
-			case <-wait:
-				continue // the leader finished; re-check the plan cache
-			case <-ctx.Done():
-				return e.finishBatch(failAll(phomerr.FromContext(ctx)), opts, false), false
-			}
-		}
-		break
-	}
-
-	planHit := false
-	cp := ent
-	if cp != nil {
-		// All lanes share one structure, so the transport check is
-		// lane-independent: probe with lane 0. A mismatch (only possible
-		// under a structure-hash collision) falls through to a fresh
-		// compile, mirroring runPlanned.
-		if _, ok := transportProbs(cp, canonOrder, instances[0]); ok {
-			planHit = true
-		} else {
-			cp = nil
-		}
-	}
-	if cp == nil {
-		var err error
-		if len(qs) > 1 {
-			cp, err = core.CompileUCQContext(ctx, qs, instances[0], opts)
-		} else {
-			cp, err = core.CompileContext(ctx, qs[0], instances[0], opts)
-		}
-		e.mu.Lock()
-		if err == nil {
-			e.stats.PlanCompiles++
-			if e.plans != nil {
-				e.plans.add(structKey, cp)
-			}
-		}
-		if registered {
-			// Release waiters; on error nothing was cached, so one of
-			// them becomes the next leader and retries.
-			close(e.planFlight[structKey])
-			delete(e.planFlight, structKey)
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return e.finishBatch(failAll(err), opts, false), false
-		}
-	}
-
-	probVecs := make([][]*big.Rat, len(instances))
-	for k, inst := range instances {
-		vec, ok := transportProbs(cp, canonOrder, inst)
-		if !ok { // unreachable: the plan was just matched or compiled against this structure
-			return e.finishBatch(failAll(phomerr.New(phomerr.CodeUnknown, "engine: plan/instance edge count mismatch")), opts, planHit), planHit
-		}
-		probVecs[k] = vec
-	}
-	return e.finishBatch(cp.EvaluateBatchOptsContext(ctx, probVecs, opts), opts, planHit), planHit
+	e.finishBatch(outs, opts, planHit)
+	return outs, planHit
 }
 
 // finishBatch applies per-lane execution accounting to a batch group's
 // outcomes: every lane counts as executed (Solved), error lanes count
 // like failed executions (with cancellations also counted Canceled,
 // as the per-job path does for abandoned calls), plan-hit groups count
-// one PlanHit per lane, and float-path lanes update the dual-precision
-// counters exactly as noteFloat would.
-func (e *Engine) finishBatch(outs []core.BatchOutcome, opts *core.Options, planHit bool) []core.BatchOutcome {
+// one PlanHit per lane, and successful lanes update the precision
+// counters through noteFloat's accounting.
+func (e *Engine) finishBatch(outs []core.BatchOutcome, opts *core.Options, planHit bool) {
 	prec := opts.EffectivePrecision()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -468,24 +393,6 @@ func (e *Engine) finishBatch(outs []core.BatchOutcome, opts *core.Options, planH
 			}
 			continue
 		}
-		if prec == core.PrecisionExact || o.Result == nil {
-			continue
-		}
-		// Same carve-outs as noteFloat: approx lanes feed the sampler
-		// counters (and only when actually sampled), float lanes the
-		// dual-precision ones.
-		if prec == core.PrecisionApprox {
-			if o.Result.Precision == core.PrecisionApprox {
-				e.stats.ApproxRuns++
-				e.stats.ApproxSamples += uint64(o.Result.ApproxSamples)
-			}
-			continue
-		}
-		if o.Result.Precision == core.PrecisionFast {
-			e.stats.FloatFast++
-		} else {
-			e.stats.FloatFallbacks++
-		}
+		e.noteFloatLocked(prec, o.Result)
 	}
-	return outs
 }

@@ -437,3 +437,146 @@ func TestBatchMixedWithSingles(t *testing.T) {
 		t.Errorf("Submitted = %d, want 11", st.Submitted)
 	}
 }
+
+// TestBatchAndPerJobAccountingAgree: the batched and the per-job path
+// share one plan-acquisition routine and one per-result accounting, so
+// one auto-precision reweight workload — half the lanes dyadic (the
+// float kernel answers at zero width), half not (the tiny tolerance
+// forces the exact fallback) — must give identical answers and
+// identical counters whether it runs as one SolveBatch group or as
+// per-job DoContext calls. Each engine is warmed with one solve of the
+// structure first, so both paths serve every lane from a cached plan.
+func TestBatchAndPerJobAccountingAgree(t *testing.T) {
+	opts := &core.Options{Precision: core.PrecisionAuto, FloatTolerance: 1e-300}
+	r := rand.New(rand.NewSource(53))
+	rs := []graph.Label{"R", "S"}
+	q := gen.Rand1WP(r, 3, rs)
+	base := gen.RandProb(r, gen.RandInClass(r, graph.ClassU2WP, 40, rs), 0.5)
+	jobs := make([]Job, 16)
+	for k := range jobs {
+		den := int64(17)
+		if k%2 == 0 {
+			den = 2
+		}
+		inst := base.CloneProbs()
+		for i := 0; i < inst.G.NumEdges(); i++ {
+			if err := inst.SetProb(i, big.NewRat(r.Int63n(den+1), den)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jobs[k] = Job{Query: q, Instance: inst, Opts: opts}
+	}
+	warm := base.CloneProbs()
+	for i := 0; i < warm.G.NumEdges(); i++ {
+		if err := warm.SetProb(i, big.NewRat(1, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmJob := Job{Query: q, Instance: warm, Opts: opts}
+
+	batched := New(Options{Workers: 2})
+	defer batched.Close()
+	if r := batched.Do(warmJob); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	got := batched.SolveBatch(jobs)
+	bst := batched.Stats()
+
+	perJob := New(Options{Workers: 2})
+	defer perJob.Close()
+	if r := perJob.Do(warmJob); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	want := make([]JobResult, len(jobs))
+	for i, job := range jobs {
+		want[i] = perJob.DoContext(context.Background(), job)
+	}
+	pst := perJob.Stats()
+
+	for i := range jobs {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("lane %d: batched err %v, per-job err %v", i, got[i].Err, want[i].Err)
+		}
+		if g, w := got[i].Result.Prob.RatString(), want[i].Result.Prob.RatString(); g != w {
+			t.Errorf("lane %d: batched %s, per-job %s", i, g, w)
+		}
+		if !got[i].PlanHit || !want[i].PlanHit {
+			t.Errorf("lane %d: PlanHit batched %v, per-job %v, want both true", i, got[i].PlanHit, want[i].PlanHit)
+		}
+	}
+	if bst.BatchRuns != 1 {
+		t.Fatalf("BatchRuns = %d, want 1: the workload did not run as one group", bst.BatchRuns)
+	}
+	if bst.FloatFast == 0 || bst.FloatFallbacks == 0 {
+		t.Fatalf("FloatFast %d, FloatFallbacks %d: the workload must exercise both", bst.FloatFast, bst.FloatFallbacks)
+	}
+	for _, c := range []struct {
+		name string
+		b, p uint64
+	}{
+		{"PlanCompiles", bst.PlanCompiles, pst.PlanCompiles},
+		{"PlanHits", bst.PlanHits, pst.PlanHits},
+		{"FloatFast", bst.FloatFast, pst.FloatFast},
+		{"FloatFallbacks", bst.FloatFallbacks, pst.FloatFallbacks},
+		{"Solved", bst.Solved, pst.Solved},
+		{"Errors", bst.Errors, pst.Errors},
+	} {
+		if c.b != c.p {
+			t.Errorf("%s: batched %d, per-job %d", c.name, c.b, c.p)
+		}
+	}
+}
+
+// TestColdBurstGroupAndSinglesCompileOnce: on a cold engine, a batch
+// group and per-job singles of the same structure — the singles on
+// their own graph values, one with its edges inserted in reverse, so
+// a cached plan must be transported onto their numbering — contend
+// for one plan. The shared acquisition routine compiles it exactly
+// once, and every answer matches sequential solving.
+func TestColdBurstGroupAndSinglesCompileOnce(t *testing.T) {
+	jobs := reweightWorkload(t, 59, 12, nil)
+	lead := jobs[0]
+	r := rand.New(rand.NewSource(61))
+	for s := 0; s < 4; s++ {
+		g := lead.Instance.G.Clone()
+		if s == 0 {
+			edges := lead.Instance.G.Edges()
+			g = graph.New(lead.Instance.G.NumVertices())
+			for i := len(edges) - 1; i >= 0; i-- {
+				g.MustAddEdge(edges[i].From, edges[i].To, edges[i].Label)
+			}
+		}
+		inst := graph.NewProbGraph(g)
+		for i := 0; i < g.NumEdges(); i++ {
+			if err := inst.SetProb(i, big.NewRat(int64(r.Intn(18)), 17)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jobs = append(jobs, Job{Query: lead.Query, Instance: inst})
+	}
+	want := solveSequential(t, jobs)
+
+	e := New(Options{Workers: 4})
+	defer e.Close()
+	got := e.SolveBatch(jobs)
+	st := e.Stats()
+	for i := range jobs {
+		if got[i].Err != nil {
+			t.Fatalf("job %d: %v", i, got[i].Err)
+		}
+		if got[i].Result.Prob.RatString() != want[i].Prob.RatString() {
+			t.Errorf("job %d: engine %s, sequential %s", i, got[i].Result.Prob.RatString(), want[i].Prob.RatString())
+		}
+	}
+	if st.BatchRuns != 1 || st.BatchLanes != 12 {
+		t.Errorf("BatchRuns %d, BatchLanes %d: want one group of 12 lanes", st.BatchRuns, st.BatchLanes)
+	}
+	if st.PlanCompiles != 1 {
+		t.Errorf("PlanCompiles = %d, want 1 (one structure)", st.PlanCompiles)
+	}
+	// Either the group compiled (its 12 lanes then count no hit) or one
+	// single did; every other job is a plan hit.
+	if hits := st.PlanHits; hits != uint64(len(jobs)-12) && hits != uint64(len(jobs)-1) {
+		t.Errorf("PlanHits = %d for %d jobs and one compile", hits, len(jobs))
+	}
+}

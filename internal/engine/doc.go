@@ -15,12 +15,12 @@
 // streaming weight updates over a fixed query/instance topology.
 //
 // By default all results are exact *big.Rat probabilities,
-// byte-identical to what a sequential call to core.Solve / core.SolveUCQ
-// would return: the engine changes scheduling, never arithmetic. Jobs
-// may opt into the dual-precision fast path (core.Options.Precision):
-// their plans evaluate on the certified float64 interval kernel, with
-// the per-job options — not the cached plan — picking the substrate,
-// and the Stats counters FloatFast / FloatFallbacks reporting which
-// substrate answered. Cached results are deep-copied on the way out, so
+// byte-identical to what a sequential call to core.SolveContext /
+// core.SolveUCQContext would return: the engine changes scheduling,
+// never arithmetic. Jobs may opt into the dual-precision fast path
+// (core.Options.Precision): their plans evaluate on the certified
+// float64 interval kernel, with the per-job options — not the cached
+// plan — picking the substrate, and the Stats counters FloatFast /
+// FloatFallbacks reporting which substrate answered. Cached results are deep-copied on the way out, so
 // callers may mutate what they receive.
 package engine

@@ -371,7 +371,7 @@ func (e *Engine) Solve(q *graph.Graph, h *graph.ProbGraph, opts *core.Options) (
 }
 
 // SolveUCQ computes Pr(G₁ ∨ … ∨ G_k ⇝ H) through the engine, equivalent
-// to core.SolveUCQ.
+// to core.SolveUCQContext.
 func (e *Engine) SolveUCQ(qs []*graph.Graph, h *graph.ProbGraph, opts *core.Options) (*core.Result, error) {
 	r := e.Do(Job{Queries: qs, Instance: h, Opts: opts})
 	return r.Result, r.Err
@@ -750,19 +750,56 @@ func jobKeys(job Job) (*derivedKeys, error) {
 }
 
 // runPlanned executes a job through the compile/evaluate pipeline,
-// consulting and feeding the structure-keyed plan cache. canonOrder is
-// the job instance's canonical edge order, already computed during key
-// derivation.
+// consulting and feeding the structure-keyed plan cache through
+// acquirePlan. canonOrder is the job instance's canonical edge order,
+// already computed during key derivation.
+func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []int, job Job, qs []*graph.Graph, planHit *bool) (*core.Result, error) {
+	cp, probVecs, hit, err := e.acquirePlan(ctx, qs, job.Opts, structKey, canonOrder, []*graph.ProbGraph{job.Instance})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		// The fresh-compile path validates probabilities inside
+		// core.Compile; mirror it so both paths fail identically.
+		if err := phomerr.Wrap(phomerr.CodeBadInput, job.Instance.Validate()); err != nil {
+			return nil, err
+		}
+		*planHit = true
+		e.mu.Lock()
+		e.stats.PlanHits++
+		e.mu.Unlock()
+	}
+	// EvaluateOpts rather than Evaluate: the job's own options pick the
+	// numeric substrate, which matters for snapshot-restored plans (they
+	// carry no precision of their own) and for cached plans shared
+	// across precision modes.
+	res, err := cp.EvaluateOptsContext(ctx, probVecs[0], job.Opts)
+	e.noteFloat(job.Opts, res, err)
+	return res, err
+}
+
+// acquirePlan returns the compiled plan of one structure and the
+// probability vectors of instances (all of that structure) on the
+// plan's edge numbering. It is the engine's single plan-acquisition
+// routine, shared by the per-job and the batched path: a cache hit
+// transports the vectors through the canonical edge order (hit is
+// true); otherwise the call waits for a compile of the same structure
+// already in flight and re-checks the cache, or compiles as the leader
+// against instances[0] and caches the plan. A transport mismatch on a
+// hit — only possible under a structure-hash collision — falls through
+// to a fresh compile.
 //
 // Compilation is deduplicated per structure: the singleflight table of
 // do() coalesces only byte-identical jobs (probabilities included), so
 // without this a cold burst of reweighted variants of one structure —
 // the dominant serving pattern — would compile the same plan once per
-// worker. A job that finds its structure being compiled waits for that
-// compilation and then evaluates the cached plan. Waiting holds a
-// worker, which cannot deadlock: the flight is only ever registered by
-// a task already running on some worker, which finishes independently.
-func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []int, job Job, qs []*graph.Graph, planHit *bool) (*core.Result, error) {
+// worker. Waiting holds a worker, which cannot deadlock: the flight is
+// only ever registered by a task already running on some worker, which
+// finishes independently. Evaluation errors are never retried here: a
+// fresh compile of the same structure would produce the same plan and
+// the same error, and for opaque (baseline) plans retrying would re-run
+// exponential work just to fail identically.
+func (e *Engine) acquirePlan(ctx context.Context, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int, instances []*graph.ProbGraph) (cp *core.CompiledPlan, probVecs [][]*big.Rat, hit bool, err error) {
 	registered := false
 	for {
 		var ent *core.CompiledPlan
@@ -785,46 +822,21 @@ func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []
 			select {
 			case <-wait:
 			case <-ctx.Done():
-				return nil, phomerr.FromContext(ctx)
+				return nil, nil, false, phomerr.FromContext(ctx)
 			}
 			continue // the leader finished; re-check the plan cache
 		}
-		if ent == nil {
-			break // this call is the compile leader
+		if ent != nil {
+			if probVecs, ok := transportAll(ent, canonOrder, instances); ok {
+				return ent, probVecs, true, nil
+			}
 		}
-		// The fresh-compile path validates probabilities inside
-		// core.Compile; mirror it so both paths fail identically.
-		if err := phomerr.Wrap(phomerr.CodeBadInput, job.Instance.Validate()); err != nil {
-			return nil, err
-		}
-		// A transport mismatch (only possible under a structure-hash
-		// collision) falls through to a fresh compile; an evaluation
-		// error does not — a fresh compile of the same structure would
-		// produce the same plan and the same error, and for opaque
-		// (baseline) plans retrying would re-run exponential work just
-		// to fail identically.
-		probs, ok := transportProbs(ent, canonOrder, job.Instance)
-		if !ok {
-			break
-		}
-		*planHit = true
-		e.mu.Lock()
-		e.stats.PlanHits++
-		e.mu.Unlock()
-		// EvaluateOpts rather than Evaluate: the job's own options pick
-		// the numeric substrate, which matters for snapshot-restored
-		// plans (they carry no precision of their own) and for cached
-		// plans shared across precision modes.
-		res, err := ent.EvaluateOptsContext(ctx, probs, job.Opts)
-		e.noteFloat(job.Opts, res, err)
-		return res, err
+		break // this call compiles (as the leader, when registered)
 	}
-	var cp *core.CompiledPlan
-	var err error
 	if len(qs) > 1 {
-		cp, err = core.CompileUCQContext(ctx, qs, job.Instance, job.Opts)
+		cp, err = core.CompileUCQContext(ctx, qs, instances[0], opts)
 	} else {
-		cp, err = core.CompileContext(ctx, qs[0], job.Instance, job.Opts)
+		cp, err = core.CompileContext(ctx, qs[0], instances[0], opts)
 	}
 	e.mu.Lock()
 	if err == nil {
@@ -841,11 +853,15 @@ func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []
 	}
 	e.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	res, evalErr := cp.EvaluateOptsContext(ctx, job.Instance.Probs(), job.Opts)
-	e.noteFloat(job.Opts, res, evalErr)
-	return res, evalErr
+	// The plan was compiled against instances[0], whose edge numbering
+	// every instance of the group shares: no transport needed.
+	probVecs = make([][]*big.Rat, len(instances))
+	for k, inst := range instances {
+		probVecs[k] = inst.Probs()
+	}
+	return cp, probVecs, false, nil
 }
 
 // noteFloat updates the dual-precision counters after an evaluation:
@@ -859,39 +875,48 @@ func (e *Engine) noteFloat(opts *core.Options, res *core.Result, err error) {
 	if err != nil || res == nil || opts.EffectivePrecision() == core.PrecisionExact {
 		return
 	}
-	if opts.EffectivePrecision() == core.PrecisionApprox {
-		if res.Precision == core.PrecisionApprox {
-			e.mu.Lock()
-			e.stats.ApproxRuns++
-			e.stats.ApproxSamples += uint64(res.ApproxSamples)
-			e.mu.Unlock()
-		}
-		return
-	}
 	e.mu.Lock()
-	if res.Precision == core.PrecisionFast {
-		e.stats.FloatFast++
-	} else {
-		e.stats.FloatFallbacks++
-	}
+	e.noteFloatLocked(opts.EffectivePrecision(), res)
 	e.mu.Unlock()
 }
 
-// transportProbs maps the probability vector of h onto the edge
-// numbering of the cached plan: rank k of h's canonical edge order cur
-// corresponds to rank k of the compile-time instance's canonical order
-// (carried by the plan itself, surviving serialization), because equal
-// StructKeys mean equal canonical edge sequences.
-func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) ([]*big.Rat, bool) {
+// noteFloatLocked is noteFloat's per-result accounting for a successful
+// evaluation under precision prec; the caller holds e.mu.
+func (e *Engine) noteFloatLocked(prec core.Precision, res *core.Result) {
+	switch {
+	case prec == core.PrecisionExact:
+	case prec == core.PrecisionApprox:
+		if res.Precision == core.PrecisionApprox {
+			e.stats.ApproxRuns++
+			e.stats.ApproxSamples += uint64(res.ApproxSamples)
+		}
+	case res.Precision == core.PrecisionFast:
+		e.stats.FloatFast++
+	default:
+		e.stats.FloatFallbacks++
+	}
+}
+
+// transportAll maps the probability vectors of instances — all sharing
+// the canonical edge order cur — onto the edge numbering of the cached
+// plan: rank k of cur corresponds to rank k of the compile-time
+// instance's canonical order (carried by the plan itself, surviving
+// serialization), because equal StructKeys mean equal canonical edge
+// sequences.
+func transportAll(cp *core.CompiledPlan, cur []int, instances []*graph.ProbGraph) ([][]*big.Rat, bool) {
 	order := cp.CanonOrder()
 	if len(cur) != len(order) || cp.NumEdges() != len(order) {
 		return nil, false
 	}
-	probs := make([]*big.Rat, len(cur))
-	for k, ei := range cur {
-		probs[order[k]] = h.Prob(ei)
+	probVecs := make([][]*big.Rat, len(instances))
+	for i, h := range instances {
+		probs := make([]*big.Rat, len(cur))
+		for k, ei := range cur {
+			probs[order[k]] = h.Prob(ei)
+		}
+		probVecs[i] = probs
 	}
-	return probs, true
+	return probVecs, true
 }
 
 // do answers the keyed job from the cache, an in-flight identical call,

@@ -70,7 +70,7 @@ func solveSequential(t *testing.T, jobs []Job) []*core.Result {
 	for i, j := range jobs {
 		var err error
 		if len(j.Queries) > 0 {
-			out[i], err = core.SolveUCQ(j.Queries, j.Instance, j.Opts)
+			out[i], err = core.SolveUCQContext(context.Background(), j.Queries, j.Instance, j.Opts)
 		} else {
 			out[i], err = core.Solve(j.Query, j.Instance, j.Opts)
 		}

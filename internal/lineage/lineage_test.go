@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -74,7 +75,7 @@ func TestPath1WPOnDWTLineage(t *testing.T) {
 		for i := range probs {
 			probs[i] = h.Prob(i)
 		}
-		want := lin.DNF.ShannonProb(probs)
+		want := shannonProb(t, lin.DNF, probs)
 		got, err := lin.System.Prob(lin.Probs)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +145,7 @@ func TestConnectedOn2WPLineage(t *testing.T) {
 		for i := range probs {
 			probs[i] = h.Prob(i)
 		}
-		want := lin.DNF.ShannonProb(probs)
+		want := shannonProb(t, lin.DNF, probs)
 		got, err := lin.System.Prob(lin.Probs)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +223,7 @@ func checkMinimalWindows(t *testing.T, q *graph.Graph, h *graph.ProbGraph) {
 			t.Fatalf("clause %v is %d edges wide, query has %d", c, w, q.NumEdges())
 		}
 	}
-	want0 := lin.DNF.ShannonProb(h.Probs())
+	want0 := shannonProb(t, lin.DNF, h.Probs())
 	got, err := lin.System.Prob(lin.Probs)
 	if err != nil {
 		t.Fatal(err)
@@ -271,4 +272,15 @@ func FuzzConnectedOn2WPLineage(f *testing.F) {
 		inst := gen.Rand2WP(r, 1+int(hSize)%25, labels)
 		checkMinimalWindows(t, q, gen.RandProb(r, inst, 0.5))
 	})
+}
+
+// shannonProb is ShannonProbContext under a background context, which never
+// fires.
+func shannonProb(t *testing.T, f *boolform.DNF, probs []*big.Rat) *big.Rat {
+	t.Helper()
+	p, err := f.ShannonProbContext(context.Background(), probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

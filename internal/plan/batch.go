@@ -8,17 +8,16 @@ import (
 	"phom/internal/phomerr"
 )
 
-// This file is the batched evaluation kernel: ExecFloatBatch runs one
-// Program against K probability vectors simultaneously, over a float64
-// interval register *matrix* instead of a register file. The reweight
-// serving pattern — one structure, many probability assignments —
-// executes the same instruction stream once per vector today; batching
-// pays instruction dispatch (the op decode, the switch, the bounds
-// checks, the loop bookkeeping) once per op for all K lanes, and turns
-// the per-lane arithmetic into tight contiguous loops the hardware can
-// pipeline. Each lane's arithmetic is the exact op-for-op sequence
-// ExecFloat would run, so lane k's enclosure is bitwise identical to
-// ExecFloat(probVecs[k]) whenever the latter succeeds.
+// This file is the interval kernel: execFloatLanes runs one Program
+// against K probability vectors simultaneously, over a float64 interval
+// register *matrix* instead of a register file. The reweight serving
+// pattern — one structure, many probability assignments — would
+// otherwise execute the same instruction stream once per vector;
+// batching pays instruction dispatch (the op decode, the switch, the
+// bounds checks, the loop bookkeeping) once per op for all K lanes, and
+// turns the per-lane arithmetic into tight contiguous loops the
+// hardware can pipeline. ExecFloat is the one-lane call into the same
+// loop, so a lane's enclosure never depends on the batch it ran in.
 
 // ExecFloatBatch executes the program against K probability vectors at
 // once and returns one certified enclosure per lane: Exec(probVecs[k])
@@ -34,39 +33,50 @@ func (p *Program) ExecFloatBatch(probVecs [][]*big.Rat) ([]Enclosure, error) {
 //
 // Error contract: malformed inputs — a lane of the wrong length, a nil
 // probability, an unknown opcode — fail the whole call, exactly as
-// they fail ExecFloat. NaN degeneration does NOT: where the
-// single-vector kernel errors, a batched lane that degenerates
-// (possible only for decoded programs with overflowing constants)
-// comes back with NaN endpoints and the other lanes stay valid, so a
-// caller can fall back per lane instead of discarding the batch. NaN
-// endpoints never escape undetected into a served bound: Enclosure
-// arithmetic propagates NaN to the output (directed rounding,
-// min/max and the 2Sum test all preserve it), and callers route lanes
-// with non-finite enclosures to the exact path (core's serveFloat
-// rejects a NaN midpoint).
+// they fail ExecFloat. NaN degeneration does NOT: where ExecFloat
+// errors, a batched lane that degenerates (possible only for decoded
+// programs with overflowing constants) comes back with NaN endpoints
+// and the other lanes stay valid, so a caller can fall back per lane
+// instead of discarding the batch. NaN endpoints never escape
+// undetected into a served bound: Enclosure arithmetic propagates NaN
+// to the output (directed rounding, min/max and the 2Sum test all
+// preserve it), and callers route lanes with non-finite enclosures to
+// the exact path (core's serveFloat rejects a NaN midpoint).
 func (p *Program) ExecFloatBatchCtx(ctx context.Context, probVecs [][]*big.Rat) ([]Enclosure, error) {
-	lanes := len(probVecs)
-	if lanes == 0 {
+	if len(probVecs) == 0 {
 		return nil, nil
 	}
+	out := make([]Enclosure, len(probVecs))
+	if err := p.execFloatLanes(ctx, probVecs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// execFloatLanes is the interval kernel behind ExecFloat and
+// ExecFloatBatchCtx: it writes lane k's enclosure to out[k]
+// (len(out) == len(probVecs) > 0). Taking out from the caller keeps the
+// one-lane ExecFloat allocation-free.
+func (p *Program) execFloatLanes(ctx context.Context, probVecs [][]*big.Rat, out []Enclosure) error {
+	lanes := len(probVecs)
 	for k, v := range probVecs {
 		if len(v) != p.NumEdges {
-			return nil, fmt.Errorf("plan: lane %d: %d probabilities for a program over %d edges", k, len(v), p.NumEdges)
+			return fmt.Errorf("plan: lane %d: %d probabilities for a program over %d edges", k, len(v), p.NumEdges)
 		}
 	}
 	cp := phomerr.NewCheckpoint(ctx)
 	// Lane-major register matrix: register r of lane k lives at
 	// regs[r*lanes+k], so each op's inner loops walk contiguous memory.
-	// Pooled like the single-vector register file — the matrix is
-	// NumRegs×K and reallocating (and zeroing) it per batch would cost a
-	// visible slice of the per-lane budget; define-before-use makes the
-	// stale contents invisible.
+	// Pooled (floatRegPool) — the matrix is NumRegs×K and reallocating
+	// (and zeroing) it per call would cost a visible slice of the
+	// per-lane budget; define-before-use makes the stale contents
+	// invisible.
 	rp := getFloatRegs(p.NumRegs * lanes)
 	defer floatRegPool.Put(rp)
 	regs := *rp
 	for i := range p.Ops {
 		if err := cp.Check(); err != nil {
-			return nil, err
+			return err
 		}
 		op := &p.Ops[i]
 		dst := regs[int(op.Dst)*lanes : (int(op.Dst)+1)*lanes]
@@ -82,7 +92,7 @@ func (p *Program) ExecFloatBatchCtx(ctx context.Context, probVecs [][]*big.Rat) 
 			for k := range dst {
 				pr := probVecs[k][op.A]
 				if pr == nil {
-					return nil, fmt.Errorf("plan: lane %d: nil probability for edge %d", k, op.A)
+					return fmt.Errorf("plan: lane %d: nil probability for edge %d", k, op.A)
 				}
 				dst[k] = enclose(pr)
 			}
@@ -104,10 +114,9 @@ func (p *Program) ExecFloatBatchCtx(ctx context.Context, probVecs [][]*big.Rat) 
 				dst[k] = Enclosure{Lo: sumLo(1, -a[k].Hi), Hi: sumHi(1, -a[k].Lo)}
 			}
 		default:
-			return nil, fmt.Errorf("plan: unknown opcode %d", op.Code)
+			return fmt.Errorf("plan: unknown opcode %d", op.Code)
 		}
 	}
-	out := make([]Enclosure, lanes)
 	copy(out, regs[int(p.Out)*lanes:(int(p.Out)+1)*lanes])
-	return out, nil
+	return nil
 }

@@ -11,10 +11,9 @@ import (
 	"phom/internal/phomerr"
 )
 
-// TestExecFloatBatchMatchesExecFloat pins the lane-exactness contract:
-// every lane of the batched kernel is bitwise identical (Lo and Hi) to
-// an independent ExecFloat call on that lane's probability vector.
-func TestExecFloatBatchMatchesExecFloat(t *testing.T) {
+// TestExecFloatBatchContainsExact pins the lane contract: every lane
+// of a batched kernel call encloses that lane's exact Exec answer.
+func TestExecFloatBatchContainsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 200; trial++ {
 		numEdges := r.Intn(8)
@@ -35,13 +34,6 @@ func TestExecFloatBatchMatchesExecFloat(t *testing.T) {
 			t.Fatalf("trial %d: %d enclosures for %d lanes", trial, len(batch), lanes)
 		}
 		for k := range probVecs {
-			single, err := prog.ExecFloat(probVecs[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch[k].Lo != single.Lo || batch[k].Hi != single.Hi {
-				t.Fatalf("trial %d lane %d: batch %v != single %v", trial, k, batch[k], single)
-			}
 			exact, err := prog.Exec(probVecs[k])
 			if err != nil {
 				t.Fatal(err)

@@ -8,25 +8,27 @@
 // automaton compilation, class-driven normalization — depends only on
 // the *structure* of the query and instance graphs, while the edge
 // probabilities enter exclusively through a final linear dynamic program
-// (betadnf.IntervalSystem.Prob, betadnf.ChainSystem.Prob,
-// ddnnf.Circuit.Prob). A Plan captures the output of the structural
-// phase; Evaluate replays only the linear phase against a probability
-// vector indexed by the instance's edge list.
+// over a β-acyclic lineage or a d-DNNF. A Plan captures the output of
+// the structural phase; Lower unrolls its linear phase into the flat
+// Program IR — straight-line code over a register file — which is the
+// one production evaluator.
 //
 // Plans therefore amortize: one compilation serves arbitrarily many
 // probability assignments over the same graph pair, which is the
 // dominant serving pattern (what-if analysis, probability sweeps,
-// streaming weight updates). Package engine caches plans keyed by the
-// structure-only job hash of package graphio, and package core builds
-// them via the compile functions of this package.
+// streaming weight updates). Package engine caches compiled plans keyed
+// by the structure-only job hash of package graphio, and package core
+// builds them via the compile functions of this package.
 //
-// Non-opaque plans lower (Lower) to the flat Program IR — straight-line
-// code over a register file — which executes on two numeric substrates:
-// Exec interprets it over exact rationals, and ExecFloat over float64
-// intervals with per-op directed-rounding error tracking, returning a
-// certified Enclosure of the exact answer. Package core routes between
-// the substrates per the caller's precision options.
+// A Program executes on two numeric substrates: Exec interprets it over
+// exact rationals, and the interval kernel (ExecFloat for one vector,
+// ExecFloatBatch for many) over float64 intervals with per-op
+// directed-rounding error tracking, returning a certified Enclosure of
+// the exact answer. Package core routes between the substrates per the
+// caller's precision options. The substrate dynamic programs
+// (betadnf.IntervalSystem.Prob, betadnf.CompiledChain.Prob,
+// ddnnf.Circuit.Prob) stay as the tests' differential reference.
 //
-// All plans are immutable after construction and safe for concurrent
-// Evaluate calls; every Evaluate returns a freshly allocated *big.Rat.
+// Plans and Programs are immutable after construction and safe for
+// concurrent use; every Exec returns a freshly allocated *big.Rat.
 package plan

@@ -1,13 +1,14 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
 	"sync"
 )
 
-// floatRegPool recycles interval register files across ExecFloat calls,
+// floatRegPool recycles interval register matrices across kernel calls,
 // the same way ratRegPool does for the exact path: the fast kernel's
 // per-call cost is a few flops per op, so a register-file allocation
 // per call is a measurable fraction of a dense reweight's budget.
@@ -23,14 +24,15 @@ func getFloatRegs(n int) *[]Enclosure {
 	return &s
 }
 
-// This file is the second numeric substrate of the Program IR: ExecFloat
-// runs the same instruction stream as Exec, but over a float64 register
-// file with per-op directed-rounding error tracking. Each register holds
-// a closed interval [Lo, Hi] certified to contain the exact rational
+// This file is the second numeric substrate of the Program IR: the
+// interval kernel (batch.go) runs the same instruction stream as Exec,
+// but over float64 registers with per-op directed-rounding error
+// tracking, using the interval arithmetic below. Each register holds a
+// closed interval [Lo, Hi] certified to contain the exact rational
 // value the corresponding Exec register would hold, so the final
 // interval is a machine-checked enclosure of the exact answer — near
 // hardware-speed arithmetic whose error bound is a result, not a hope.
-// Package core routes evaluation through ExecFloat for the fast and
+// Package core routes evaluation through the kernel for the fast and
 // auto precision modes, falling back to Exec when the enclosure is
 // wider than the caller's tolerance.
 
@@ -261,46 +263,19 @@ func mulEnclosure(a, b Enclosure) Enclosure {
 // it the serving fast path; the price is a one-ulp outward widening per
 // op, so the final Width grows linearly with program length and stays
 // far below any practical tolerance for the linear-size programs the
-// tractable cells lower to.
+// tractable cells lower to. It is the one-lane case of ExecFloatBatch.
 //
 // ExecFloat fails only on malformed inputs (wrong vector length, nil
-// probabilities, unknown opcodes) or if interval arithmetic degenerates
-// to NaN (possible only for decoded programs with overflowing
-// constants); it never returns an unsound interval.
+// probabilities, unknown opcodes) or if the result degenerates to NaN
+// (possible only for decoded programs with overflowing constants); it
+// never returns an unsound interval.
 func (p *Program) ExecFloat(probs []*big.Rat) (Enclosure, error) {
-	if len(probs) != p.NumEdges {
-		return Enclosure{}, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
+	var out [1]Enclosure
+	if err := p.execFloatLanes(context.Background(), [][]*big.Rat{probs}, out[:]); err != nil {
+		return Enclosure{}, err
 	}
-	rp := getFloatRegs(p.NumRegs)
-	defer floatRegPool.Put(rp)
-	regs := *rp
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		var r Enclosure
-		switch op.Code {
-		case OpConst:
-			r = enclose(p.Consts[op.A])
-		case OpLoad:
-			pr := probs[op.A]
-			if pr == nil {
-				return Enclosure{}, fmt.Errorf("plan: nil probability for edge %d", op.A)
-			}
-			r = enclose(pr)
-		case OpMul:
-			r = mulEnclosure(regs[op.A], regs[op.B])
-		case OpAdd:
-			a, b := regs[op.A], regs[op.B]
-			r = Enclosure{Lo: sumLo(a.Lo, b.Lo), Hi: sumHi(a.Hi, b.Hi)}
-		case OpOneMinus:
-			a := regs[op.A]
-			r = Enclosure{Lo: sumLo(1, -a.Hi), Hi: sumHi(1, -a.Lo)}
-		default:
-			return Enclosure{}, fmt.Errorf("plan: unknown opcode %d", op.Code)
-		}
-		if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) {
-			return Enclosure{}, fmt.Errorf("plan: op %d: interval arithmetic degenerated to NaN", i)
-		}
-		regs[op.Dst] = r
+	if iv := out[0]; math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) {
+		return Enclosure{}, fmt.Errorf("plan: interval arithmetic degenerated to NaN")
 	}
-	return regs[p.Out], nil
+	return out[0], nil
 }

@@ -1,21 +1,14 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 )
 
 // This file lowers each plan form to the flat Program IR. The substrate
-// evaluators own their arithmetic (betadnf and ddnnf EmitOps); the
-// adapters here contribute only the variable-to-edge indirection that
-// the tree evaluators apply at evaluation time, so the emitted ops load
-// straight from the instance probability vector.
-
-// ErrOpaque is returned when lowering or serializing an opaque plan:
-// its evaluation re-runs an exponential baseline and is not expressible
-// as straight-line arithmetic.
-var ErrOpaque = errors.New("plan: opaque plan has no flattened program")
+// dynamic programs own their arithmetic (betadnf and ddnnf EmitOps); the
+// adapters here contribute only the variable-to-edge indirection, so
+// the emitted ops load straight from the instance probability vector.
 
 // edgeMapEmitter adapts a Builder to the OpEmitter interfaces of
 // betadnf and ddnnf (structurally identical), translating substrate
@@ -94,9 +87,4 @@ func (c Components) EmitOps(b *Builder) (uint32, error) {
 	out := b.OneMinus(miss)
 	b.Release(miss)
 	return out, nil
-}
-
-// EmitOps on an opaque plan fails: there is no structure to flatten.
-func (o Opaque) EmitOps(b *Builder) (uint32, error) {
-	return 0, ErrOpaque
 }

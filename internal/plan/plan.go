@@ -1,26 +1,23 @@
 package plan
 
 import (
-	"fmt"
 	"math/big"
 
 	"phom/internal/betadnf"
 	"phom/internal/ddnnf"
-	"phom/internal/graph"
 )
 
-// Plan is a compiled, probability-independent evaluation artifact. The
-// probs argument is indexed by the edge list of the instance the plan
-// was compiled from (position i holds π of edge i); callers reweighting
-// a structurally identical instance with a different edge numbering must
-// permute the vector first (see graphio.CanonicalEdgeOrder).
+// Plan is a compiled, probability-independent evaluation artifact: the
+// output of one tractable cell's structural phase. Its edge references
+// index the edge list of the instance the plan was compiled from
+// (position i holds π of edge i); callers reweighting a structurally
+// identical instance with a different edge numbering must permute the
+// vector first (see graphio.CanonicalEdgeOrder).
 //
-// Evaluate walks the plan tree (the PR 2 evaluation path, kept as the
-// differential reference); EmitOps lowers the same arithmetic to the
-// flat Program IR, which is what the solver pipeline executes and what
-// internal/graphio serializes. Opaque plans do not lower (ErrOpaque).
+// A plan is not evaluated directly: EmitOps lowers its arithmetic to
+// the flat Program IR (see Lower), which is what the solver pipeline
+// executes and what internal/graphio serializes.
 type Plan interface {
-	Evaluate(probs []*big.Rat) (*big.Rat, error)
 	EmitOps(b *Builder) (uint32, error)
 }
 
@@ -36,38 +33,17 @@ func NewConst(v *big.Rat) Const {
 	return Const{Value: new(big.Rat).Set(v)}
 }
 
-// Evaluate returns a fresh copy of the constant.
-func (c Const) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	return new(big.Rat).Set(c.Value), nil
-}
-
-// Chain evaluates a β-acyclic chain system (the lineages of
-// Propositions 4.10 and 3.6 on downward-tree instances), precompiled so
-// evaluation runs the dynamic program with no per-call setup. NodeEdge
-// maps each system node to the instance edge above it (−1 for roots,
-// whose probability is fixed to 1).
+// Chain is a β-acyclic chain system (the lineages of Propositions 4.10
+// and 3.6 on downward-tree instances), precompiled so lowering unrolls
+// the dynamic program with no per-call setup. NodeEdge maps each system
+// node to the instance edge above it (−1 for roots, whose probability
+// is fixed to 1).
 type Chain struct {
 	System   *betadnf.CompiledChain
 	NodeEdge []int
 }
 
-// Evaluate runs the chain dynamic program under π.
-func (c Chain) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	nodeProbs := make([]*big.Rat, len(c.NodeEdge))
-	for v, ei := range c.NodeEdge {
-		if ei < 0 {
-			nodeProbs[v] = graph.RatOne
-			continue
-		}
-		if ei >= len(probs) {
-			return nil, fmt.Errorf("plan: chain node %d references edge %d of %d", v, ei, len(probs))
-		}
-		nodeProbs[v] = probs[ei]
-	}
-	return c.System.Prob(nodeProbs)
-}
-
-// Interval evaluates a β-acyclic interval system (the lineages of
+// Interval is a β-acyclic interval system (the lineages of
 // Proposition 4.11 on two-way-path instances). VarEdge maps each path
 // position to the instance edge at that position.
 type Interval struct {
@@ -75,19 +51,7 @@ type Interval struct {
 	VarEdge []int
 }
 
-// Evaluate runs the interval dynamic program under π.
-func (iv Interval) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	varProbs := make([]*big.Rat, len(iv.VarEdge))
-	for i, ei := range iv.VarEdge {
-		if ei < 0 || ei >= len(probs) {
-			return nil, fmt.Errorf("plan: interval position %d references edge %d of %d", i, ei, len(probs))
-		}
-		varProbs[i] = probs[ei]
-	}
-	return iv.System.Prob(varProbs)
-}
-
-// Circuit evaluates a d-DNNF lineage circuit (the automaton pipeline of
+// Circuit is a d-DNNF lineage circuit (the automaton pipeline of
 // Proposition 5.4 on polytree instances). VarEdge maps each circuit
 // variable to an instance edge.
 type Circuit struct {
@@ -96,47 +60,9 @@ type Circuit struct {
 	VarEdge []int
 }
 
-// Evaluate computes the circuit probability under π in linear time.
-func (c Circuit) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	varProbs := make([]*big.Rat, len(c.VarEdge))
-	for i, ei := range c.VarEdge {
-		if ei < 0 || ei >= len(probs) {
-			return nil, fmt.Errorf("plan: circuit variable %d references edge %d of %d", i, ei, len(probs))
-		}
-		varProbs[i] = probs[ei]
-	}
-	return c.C.Prob(c.Out, varProbs), nil
-}
-
 // Components is the Lemma 3.7 composite: for a connected query over a
 // disconnected instance, Pr = 1 − Π_i (1 − p_i) over the per-component
 // plans, whose edge references all index the full instance edge list.
 type Components struct {
 	Parts []Plan
-}
-
-// Evaluate combines the component probabilities per Lemma 3.7.
-func (c Components) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	miss := big.NewRat(1, 1)
-	for _, part := range c.Parts {
-		p, err := part.Evaluate(probs)
-		if err != nil {
-			return nil, err
-		}
-		miss.Mul(miss, p.Sub(graph.RatOne, p))
-	}
-	return miss.Sub(graph.RatOne, miss), nil
-}
-
-// Opaque is a plan with no exploitable structure: evaluation re-solves
-// the captured job against each probability assignment. It is the plan
-// form of the exponential baselines, kept so that structure-keyed plan
-// caching stays total — an opaque hit is correct, merely not faster.
-type Opaque struct {
-	Eval func(probs []*big.Rat) (*big.Rat, error)
-}
-
-// Evaluate re-solves under π.
-func (o Opaque) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	return o.Eval(probs)
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -12,27 +13,96 @@ import (
 
 func rat(s string) *big.Rat { return graph.Rat(s) }
 
+// treeEval evaluates a plan tree through the substrate dynamic programs
+// (betadnf, ddnnf) with no lowering involved: the independent reference
+// the Program IR is differentially checked against.
+func treeEval(p Plan, probs []*big.Rat) (*big.Rat, error) {
+	pick := func(refs []int, rootIsOne bool) ([]*big.Rat, error) {
+		out := make([]*big.Rat, len(refs))
+		for i, ei := range refs {
+			switch {
+			case ei < 0 && rootIsOne:
+				out[i] = graph.RatOne
+			case ei < 0 || ei >= len(probs):
+				return nil, fmt.Errorf("variable %d references edge %d of %d", i, ei, len(probs))
+			default:
+				out[i] = probs[ei]
+			}
+		}
+		return out, nil
+	}
+	switch t := p.(type) {
+	case Const:
+		return new(big.Rat).Set(t.Value), nil
+	case Chain:
+		v, err := pick(t.NodeEdge, true)
+		if err != nil {
+			return nil, err
+		}
+		return t.System.Prob(v)
+	case Interval:
+		v, err := pick(t.VarEdge, false)
+		if err != nil {
+			return nil, err
+		}
+		return t.System.Prob(v)
+	case Circuit:
+		v, err := pick(t.VarEdge, false)
+		if err != nil {
+			return nil, err
+		}
+		return t.C.Prob(t.Out, v), nil
+	case Components:
+		miss := big.NewRat(1, 1)
+		for _, part := range t.Parts {
+			q, err := treeEval(part, probs)
+			if err != nil {
+				return nil, err
+			}
+			miss.Mul(miss, q.Sub(graph.RatOne, q))
+		}
+		return miss.Sub(graph.RatOne, miss), nil
+	}
+	return nil, fmt.Errorf("unsupported plan %T", p)
+}
+
+// lowerExec lowers p over numEdges edges and executes it exactly.
+func lowerExec(t *testing.T, p Plan, numEdges int, probs []*big.Rat) *big.Rat {
+	t.Helper()
+	prog, err := Lower(p, numEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prog.Exec(probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestConstEvaluateCopies(t *testing.T) {
 	c := NewConst(rat("2/3"))
-	a, err := c.Evaluate(nil)
+	prog, err := Lower(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := prog.Exec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.SetInt64(7) // mutating the result must not poison the plan
-	b, _ := c.Evaluate(nil)
-	if b.Cmp(rat("2/3")) != 0 {
+	if b := lowerExec(t, c, 0, nil); b.Cmp(rat("2/3")) != 0 {
 		t.Fatalf("Const mutated through a returned result: %s", b.RatString())
+	}
+	if b, _ := prog.Exec(nil); b.Cmp(rat("2/3")) != 0 {
+		t.Fatalf("program mutated through a returned result: %s", b.RatString())
 	}
 }
 
 func TestComponentsCombination(t *testing.T) {
 	c := Components{Parts: []Plan{NewConst(rat("1/2")), NewConst(rat("1/3"))}}
-	p, err := c.Evaluate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 1 − (1 − 1/2)(1 − 1/3) = 2/3.
-	if p.Cmp(rat("2/3")) != 0 {
+	if p := lowerExec(t, c, 0, nil); p.Cmp(rat("2/3")) != 0 {
 		t.Fatalf("Components = %s, want 2/3", p.RatString())
 	}
 }
@@ -49,15 +119,11 @@ func TestChainEvaluateMapsEdges(t *testing.T) {
 		NodeEdge: []int{-1, 3},
 	}
 	probs := []*big.Rat{rat("1"), rat("1"), rat("1"), rat("1/4")}
-	p, err := c.Evaluate(probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cmp(rat("1/4")) != 0 {
+	if p := lowerExec(t, c, len(probs), probs); p.Cmp(rat("1/4")) != 0 {
 		t.Fatalf("Chain = %s, want 1/4", p.RatString())
 	}
-	if _, err := c.Evaluate(probs[:2]); err == nil {
-		t.Fatal("expected an out-of-range error for a short probability vector")
+	if _, err := Lower(c, 2); err == nil {
+		t.Fatal("expected an out-of-range error for a short edge list")
 	}
 }
 
@@ -68,25 +134,11 @@ func TestIntervalEvaluateMapsEdges(t *testing.T) {
 		VarEdge: []int{2},
 	}
 	probs := []*big.Rat{rat("1"), rat("1"), rat("3/5")}
-	p, err := iv.Evaluate(probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cmp(rat("3/5")) != 0 {
+	if p := lowerExec(t, iv, len(probs), probs); p.Cmp(rat("3/5")) != 0 {
 		t.Fatalf("Interval = %s, want 3/5", p.RatString())
 	}
-	if _, err := iv.Evaluate(probs[:1]); err == nil {
-		t.Fatal("expected an out-of-range error for a short probability vector")
-	}
-}
-
-func TestOpaqueDelegates(t *testing.T) {
-	o := Opaque{Eval: func(probs []*big.Rat) (*big.Rat, error) {
-		return new(big.Rat).Set(probs[0]), nil
-	}}
-	p, err := o.Evaluate([]*big.Rat{rat("5/7")})
-	if err != nil || p.Cmp(rat("5/7")) != 0 {
-		t.Fatalf("Opaque = %v, %v", p, err)
+	if _, err := Lower(iv, 1); err == nil {
+		t.Fatal("expected an out-of-range error for a short edge list")
 	}
 }
 
@@ -117,9 +169,10 @@ func oracleWorlds(t *testing.T, h *graph.ProbGraph, m int) *big.Rat {
 	return total
 }
 
-// TestCompiledPlansMatchOracle cross-checks every structural compiler on
-// small random instances against possible-world enumeration, evaluating
-// the same plan under several distinct probability assignments.
+// TestCompiledPlansMatchOracle cross-checks the lowered programs of the
+// path compilers on small random instances against possible-world
+// enumeration, evaluating the same plan under several distinct
+// probability assignments.
 func TestCompiledPlansMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	un := []graph.Label{graph.Unlabeled}
@@ -132,10 +185,7 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for reweight := 0; reweight < 3; reweight++ {
-			got, err := p.Evaluate(h.Probs())
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := lowerExec(t, p, h.G.NumEdges(), h.Probs())
 			if want := oracleWorlds(t, h, m); got.Cmp(want) != 0 {
 				t.Fatalf("DWT trial %d: plan %s, oracle %s", trial, got.RatString(), want.RatString())
 			}
@@ -151,10 +201,7 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for reweight := 0; reweight < 3; reweight++ {
-			got, err := p.Evaluate(h.Probs())
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := lowerExec(t, p, h.G.NumEdges(), h.Probs())
 			if want := oracleWorlds(t, h, m); got.Cmp(want) != 0 {
 				t.Fatalf("PT trial %d: plan %s, oracle %s", trial, got.RatString(), want.RatString())
 			}

@@ -11,13 +11,12 @@ import (
 
 // This file defines the flattened evaluation IR: a Program is a linear
 // instruction stream over a register file of rationals, the common
-// compilation target of every non-opaque plan. Where the PR 2 plan tree
-// evaluated through a heterogeneous set of Go closures (chain DP,
-// interval DP, d-DNNF traversal), a Program is pure data — one op
-// array, one constant pool — executed by the single Exec hot loop
-// below, and serializable by internal/graphio. The per-substrate tree
-// evaluators remain as the differential reference (Plan.Evaluate);
-// Lower turns a tree into its Program.
+// compilation target of every plan. Where the substrate dynamic
+// programs (chain DP, interval DP, d-DNNF traversal) are heterogeneous
+// Go code, a Program is pure data — one op array, one constant pool —
+// executed by the single Exec hot loop below, and serializable by
+// internal/graphio. Lower turns a plan tree into its Program; the
+// substrates' own Prob methods remain as the test-side reference.
 
 // OpCode enumerates the instruction set. The set is deliberately tiny:
 // every tractable cell of the paper evaluates by a straight-line
@@ -140,8 +139,8 @@ func (p *Program) Validate() error {
 // Exec interprets the program against the probability vector probs
 // (indexed by the edge list of the instance the plan was compiled
 // from) and returns a freshly allocated result. All arithmetic is
-// exact; the result is the same rational the plan tree's Evaluate
-// computes, hence RatString-byte-identical.
+// exact: lowering preserves the substrate dynamic programs op for op,
+// so the result is RatString-byte-identical to their Prob methods.
 func (p *Program) Exec(probs []*big.Rat) (*big.Rat, error) {
 	return p.ExecCtx(context.Background(), probs)
 }
@@ -380,9 +379,7 @@ var (
 // Lower flattens a plan tree into a Program over numEdges instance
 // edges and runs the Optimize pass on the result, so every program the
 // solver pipeline executes or serializes is already folded, shared and
-// dead-op free. Opaque plans have no program (ErrOpaque): their
-// evaluation re-runs an exponential baseline and is not expressible as
-// straight-line arithmetic.
+// dead-op free.
 func Lower(p Plan, numEdges int) (*Program, error) {
 	return LowerContext(context.Background(), p, numEdges)
 }

@@ -94,8 +94,8 @@ func TestProgramValidate(t *testing.T) {
 }
 
 // lowerAndCompare checks that the flattened program of p computes
-// RatString-byte-identical results to the tree evaluator across several
-// reweightings of h.
+// RatString-byte-identical results to the tree reference (treeEval)
+// across several reweightings of h.
 func lowerAndCompare(t *testing.T, r *rand.Rand, p Plan, h *graph.ProbGraph, what string) {
 	t.Helper()
 	prog, err := Lower(p, h.G.NumEdges())
@@ -107,9 +107,9 @@ func lowerAndCompare(t *testing.T, r *rand.Rand, p Plan, h *graph.ProbGraph, wha
 	}
 	for reweight := 0; reweight < 4; reweight++ {
 		probs := h.Probs()
-		tree, err := p.Evaluate(probs)
+		tree, err := treeEval(p, probs)
 		if err != nil {
-			t.Fatalf("%s: tree Evaluate: %v", what, err)
+			t.Fatalf("%s: tree evaluation: %v", what, err)
 		}
 		flat, err := prog.Exec(probs)
 		if err != nil {
@@ -194,13 +194,6 @@ func TestLowerConstAndComponents(t *testing.T) {
 	lowerAndCompare(t, r, NewConst(rat("1")), h, "Const 1")
 }
 
-func TestLowerOpaqueFails(t *testing.T) {
-	o := Opaque{Eval: func(probs []*big.Rat) (*big.Rat, error) { return new(big.Rat), nil }}
-	if _, err := Lower(o, 1); err != ErrOpaque {
-		t.Fatalf("Lower(Opaque) = %v, want ErrOpaque", err)
-	}
-}
-
 // TestChainEmitMatchesProbDirect drives the betadnf chain lowering on a
 // hand-built multi-level system (deep chains, dead subtrees) where the
 // pruning and streak-cap paths all fire.
@@ -232,7 +225,7 @@ func TestChainEmitMatchesProbDirect(t *testing.T) {
 		for i := range probs {
 			probs[i] = big.NewRat(int64(r.Intn(17)), 16)
 		}
-		tree, err := c.Evaluate(probs)
+		tree, err := treeEval(c, probs)
 		if err != nil {
 			t.Fatal(err)
 		}

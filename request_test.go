@@ -74,7 +74,7 @@ func TestV1ShimsByteIdenticalToV2(t *testing.T) {
 		// Multi-disjunct, single-disjunct (whose lifted routing may pick
 		// a different cell than the single-query table — the shim must
 		// preserve it, Method included), empty, and nil unions: each
-		// must answer exactly as core.SolveUCQ always has.
+		// must answer exactly as core.SolveUCQContext always has.
 		for _, qs := range []UCQ{
 			{Path1WP("R", "S"), Path1WP("S", "R")},
 			{UnlabeledPath(2)},
@@ -82,14 +82,14 @@ func TestV1ShimsByteIdenticalToV2(t *testing.T) {
 			nil,
 		} {
 			v1, err1 := SolveUCQ(qs, h, nil)
-			ref, errRef := core.SolveUCQ(qs, h, nil)
+			ref, errRef := core.SolveUCQContext(ctx, qs, h, nil)
 			v2, err2 := SolveContext(ctx, NewUCQRequest(qs, h))
 			if err1 != nil || err2 != nil || errRef != nil {
 				t.Fatalf("union %d: errs %v, %v, %v", len(qs), err1, err2, errRef)
 			}
 			for name, v := range map[string]*Result{"shim": v1, "v2": v2} {
 				if v.Prob.RatString() != ref.Prob.RatString() || v.Method != ref.Method {
-					t.Fatalf("union %d: %s (%s, %v) != core.SolveUCQ (%s, %v)", len(qs),
+					t.Fatalf("union %d: %s (%s, %v) != core.SolveUCQContext (%s, %v)", len(qs),
 						name, v.Prob.RatString(), v.Method, ref.Prob.RatString(), ref.Method)
 				}
 			}
